@@ -40,14 +40,6 @@ from .exact import (
     enumerate_group,
 )
 from .grouping import Group, partition
-from .harness import (
-    AblationReport,
-    BatchReport,
-    run_ablation,
-    run_batch,
-    wilson_interval,
-)
-from .oracle import exact_board_probabilities, exact_view_probabilities
 from .policy import (
     GameRecord,
     MoveDecision,
@@ -59,4 +51,31 @@ from .policy import (
 )
 from .sampling import SamplingStarvedError, sample_group
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The harness and the oracle import numpy, which exact- and logic-mode play
+# never need; their names load on first access (PEP 562).
+_LAZY = {
+    "AblationReport": "harness",
+    "BatchReport": "harness",
+    "run_ablation": "harness",
+    "run_batch": "harness",
+    "wilson_interval": "harness",
+    "exact_board_probabilities": "oracle",
+    "exact_view_probabilities": "oracle",
+}
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -21,12 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .engine import Cell
 from .exact import GroupTally
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NEG_INF = float("-inf")
 
@@ -70,6 +71,8 @@ def log_comb(n: int, r: int) -> float:
 
 
 def _lse(arr: np.ndarray) -> float:
+    import numpy as np
+
     m = arr.max()
     if m == NEG_INF:
         return NEG_INF
@@ -77,6 +80,8 @@ def _lse(arr: np.ndarray) -> float:
 
 
 def _log_counts(tally: GroupTally) -> np.ndarray:
+    import numpy as np
+
     ks = tally.counts.keys()
     out = np.full(max(ks) + 1, NEG_INF)
     for k, n in tally.counts.items():
@@ -86,6 +91,8 @@ def _log_counts(tally: GroupTally) -> np.ndarray:
 
 
 def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.full(len(a) + len(b) - 1, NEG_INF)
     for i, la in enumerate(a):
         if la == NEG_INF:
@@ -120,6 +127,7 @@ def combine(tallies: Sequence[GroupTally], ctx: BoardContext,
     _check_disjoint(tallies, ctx)
     if not sea_coupling:
         return _combine_uncoupled(tallies, ctx)
+    import numpy as np  # loaded on first use: exact and logic play never need it
 
     m, u = ctx.remaining_mines, len(ctx.unconstrained)
     logs = [_log_counts(t) for t in tallies]

@@ -110,10 +110,12 @@ class GameState:
 
     Single-writer: reveal() mutates the state in place. Snapshots for
     concurrent readers should be taken via parse/render or copy().
+    `solver_memo` is scratch the solver keeps between calls on this very
+    object; the engine never reads it, and copies start without it.
     """
 
     __slots__ = ("spec", "mines", "values", "revealed", "status", "moves",
-                 "_revealed_count", "_safe_total")
+                 "solver_memo", "_revealed_count", "_safe_total")
 
     def __init__(self, spec: BoardSpec, mines: list[bool],
                  revealed: Optional[list[bool]] = None) -> None:
@@ -131,6 +133,7 @@ class GameState:
         table = neighbor_table(spec.width, spec.height)
         self.values = [sum(mines[j] for j in table[i]) for i in range(spec.cells)]
         self.moves: list[tuple[Cell, object]] = []
+        self.solver_memo: object = None
         self._safe_total = spec.cells - spec.mine_count
         self._revealed_count = sum(self.revealed)
         if any(m and r for m, r in zip(self.mines, self.revealed)):

@@ -3,15 +3,14 @@
 A group's tally records N(k), the number of satisfying assignments placing
 exactly k mines, and C(cell, k), the number of those in which a given cell
 is the mine. Groups are small (the reduction and decomposition stages keep
-them that way), so a pruned layer-by-layer search is exact and fast.
+them that way), so a pruned depth-first search is exact and fast. It is
+plain Python: exact-mode play never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import monotonic
-
-import numpy as np
 
 from .engine import Cell
 from .grouping import Group
@@ -20,8 +19,11 @@ from .grouping import Group
 # budget; callers should fall back to sampling.
 EXACT_VAR_LIMIT = 22
 
-# Hard cap on simultaneously live partial assignments (memory/time guard).
-MAX_FRONTIER_ROWS = 1 << 20
+# Hard cap on search-tree branch points, so a loosely constrained group is
+# given up in bounded time (a few seconds) even without a deadline.
+MAX_NODES = 1 << 21
+# branch points between deadline and node-cap checks
+CHECK_EVERY_NODES = 4096
 
 
 class GroupTooLargeError(ValueError):
@@ -67,18 +69,6 @@ class GroupTally:
         return sum(k * n for k, n in self.counts.items()) / total
 
 
-def group_arrays(group: Group, order: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
-    """(membership matrix, rhs vector) with variables in the given order."""
-    pos = {cell: i for i, cell in enumerate(order)}
-    a = np.zeros((len(group.constraints), len(order)), dtype=np.int16)
-    rhs = np.zeros(len(group.constraints), dtype=np.int16)
-    for ci, constraint in enumerate(group.constraints):
-        for cell in constraint.vars:
-            a[ci, pos[cell]] = 1
-        rhs[ci] = constraint.rhs
-    return a, rhs
-
-
 def _static_order(group: Group) -> list[Cell]:
     # most-constrained variable first; ties broken by cell order
     degree: dict[Cell, int] = {cell: 0 for cell in group.vars}
@@ -92,79 +82,100 @@ def enumerate_group(group: Group, group_id: int = 0,
                     deadline: float | None = None) -> GroupTally:
     """Count every satisfying assignment of the group exactly.
 
-    Partial assignments advance one variable per layer; a branch survives
-    only while each constraint's running sum can still reach its rhs.
-    nodes_visited counts terminal states (dead ends plus solutions), which
-    never exceeds 2^n. `deadline` is an optional time.monotonic() cutoff;
-    exceeding it raises GroupTooLargeError so the caller can sample.
+    Variables are assigned depth-first in `_static_order`; a branch
+    survives only while each constraint's running sum can still reach its
+    rhs. nodes_visited counts terminal states (dead ends plus solutions),
+    which never exceeds 2^n. `deadline` is an optional time.monotonic()
+    cutoff, checked on entry and every CHECK_EVERY_NODES branch points;
+    passing it, or MAX_NODES branch points, raises GroupTooLargeError so
+    the caller can sample.
     """
     n = len(group.vars)
     if n == 0:
         raise InconsistentGroupError("empty group")
     if n > EXACT_VAR_LIMIT:
         raise GroupTooLargeError(f"{n} variables exceeds limit {EXACT_VAR_LIMIT}")
+    if deadline is not None and monotonic() > deadline:
+        raise GroupTooLargeError("exact enumeration ran past its deadline")
+    max_nodes = MAX_NODES
 
     order = _static_order(group)
-    a, rhs = group_arrays(group, order)
-    n_cons = a.shape[0]
-    # unassigned-variable count per constraint, updated as layers advance
-    remaining = a.sum(axis=1).astype(np.int16)
-
-    assigns = np.zeros((1, n), dtype=np.uint8)
-    sums = np.zeros((1, n_cons), dtype=np.int16)
-    dead_ends = 0
-
+    pos = {cell: i for i, cell in enumerate(order)}
+    members: list[list[int]] = [[] for _ in range(n)]
+    unassigned = []
+    for ci, constraint in enumerate(group.constraints):
+        for cell in constraint.vars:
+            members[pos[cell]].append(ci)
+        unassigned.append(len(constraint.vars))
+    # checks[step]: (constraint, rhs, least sum that keeps rhs reachable
+    # once this step's variable is assigned) for each member constraint
+    checks: list[list[tuple[int, int, int]]] = []
     for step in range(n):
-        member = np.flatnonzero(a[:, step])
-        remaining[member] -= 1
+        row = []
+        for ci in members[step]:
+            unassigned[ci] -= 1
+            rhs = group.constraints[ci].rhs
+            row.append((ci, rhs, rhs - unassigned[ci]))
+        checks.append(row)
+
+    sums = [0] * len(group.constraints)
+    mines: list[int] = []  # steps currently assigned 1
+    counts = [0] * (n + 1)
+    per_cell = [[0] * (n + 1) for _ in range(n)]
+    dead_ends = 0
+    nodes = 0
+
+    def visit(step: int) -> None:
+        nonlocal dead_ends, nodes
+        if step == n:
+            # every constraint ended with no unassigned variables and a
+            # reachable rhs, hence sum == rhs
+            k = len(mines)
+            counts[k] += 1
+            for i in mines:
+                per_cell[i][k] += 1
+            return
+        nodes += 1
+        if nodes % CHECK_EVERY_NODES == 0:
+            if nodes > max_nodes:
+                raise GroupTooLargeError(f"search exceeded {max_nodes} nodes")
+            if deadline is not None and monotonic() > deadline:
+                raise GroupTooLargeError("exact enumeration ran past its deadline")
+        check = checks[step]
         # value 1 needs sum+1 <= rhs; value 0 needs rhs still reachable
-        sub = sums[:, member]
-        feas1 = (sub < rhs[member]).all(axis=1)
-        feas0 = (sub >= rhs[member] - remaining[member]).all(axis=1)
-        dead_ends += int((~feas0 & ~feas1).sum())
+        can0 = can1 = True
+        for ci, rhs, least in check:
+            s = sums[ci]
+            if s >= rhs:
+                can1 = False
+            if s < least:
+                can0 = False
+        if can0:
+            visit(step + 1)
+        if can1:
+            for ci, _, _ in check:
+                sums[ci] += 1
+            mines.append(step)
+            visit(step + 1)
+            mines.pop()
+            for ci, _, _ in check:
+                sums[ci] -= 1
+        if not (can0 or can1):
+            dead_ends += 1
 
-        parts = []
-        sum_parts = []
-        if feas0.any():
-            rows = assigns[feas0]
-            parts.append(rows)
-            sum_parts.append(sums[feas0])
-        if feas1.any():
-            rows = assigns[feas1].copy()
-            rows[:, step] = 1
-            parts.append(rows)
-            s = sums[feas1].copy()
-            s[:, member] += 1
-            sum_parts.append(s)
-        if not parts:
-            raise InconsistentGroupError(
-                f"group over {len(group.vars)} cells has no satisfying assignment"
-            )
-        assigns = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        sums = np.concatenate(sum_parts) if len(sum_parts) > 1 else sum_parts[0]
-        if assigns.shape[0] > MAX_FRONTIER_ROWS:
-            raise GroupTooLargeError(
-                f"search frontier exceeded {MAX_FRONTIER_ROWS} rows"
-            )
-        if deadline is not None and monotonic() > deadline:
-            raise GroupTooLargeError("exact enumeration ran past its deadline")
-
-    # every surviving row satisfies all constraints: each constraint ends
-    # with no unassigned variables and a reachable rhs, hence sum == rhs
-    ks = assigns.sum(axis=1).astype(np.int64)
-    counts: dict[int, float] = {}
-    cell_counts: dict[tuple[Cell, int], float] = {}
-    for k in np.unique(ks):
-        mask = ks == k
-        counts[int(k)] = int(mask.sum())
-        per_cell = assigns[mask].sum(axis=0)
-        for i, cell in enumerate(order):
-            cell_counts[(cell, int(k))] = int(per_cell[i])
+    visit(0)
+    ks = [k for k in range(n + 1) if counts[k]]
+    if not ks:
+        raise InconsistentGroupError(
+            f"group over {n} cells has no satisfying assignment"
+        )
     return GroupTally(
         group_id=group_id,
         cells=tuple(sorted(group.vars)),
-        counts=counts,
-        cell_counts=cell_counts,
+        counts={k: counts[k] for k in ks},
+        cell_counts={
+            (cell, k): per_cell[i][k] for k in ks for i, cell in enumerate(order)
+        },
         exact=True,
-        nodes_visited=dead_ends + assigns.shape[0],
+        nodes_visited=dead_ends + sum(counts),
     )

@@ -1,11 +1,14 @@
 """Move selection: run the pipeline under a per-move time budget.
 
 Each call works from the visible board alone: extract equations, reduce
-them, and reveal a forced-safe cell if one exists. Only when logic is
-stuck does the probabilistic stage run - exact tallies for small groups,
-sampling for oversized ones with whatever time is left - and the move is
-the minimum-probability covered cell. If no probability map can be built
-in time, a cheap per-constraint estimate picks the guess instead.
+them, and reveal a forced-safe cell if one exists. A reduction usually
+proves several cells safe at once; the smallest is returned and the rest
+are queued against the game, so later calls on the same game reveal them
+without solving again. Only when logic is stuck does the probabilistic
+stage run - exact tallies for small groups, sampling for oversized ones
+with whatever time is left - and the move is the minimum-probability
+covered cell. If no probability map can be built in time, a cheap
+per-constraint estimate picks the guess instead.
 """
 
 from __future__ import annotations
@@ -46,6 +49,54 @@ PIPELINE_DEPTHS = ("logic", "exact", "sampled", "fallback")
 
 # reserved for assembling the move out of tallies and the final argmin
 _BUDGET_RESERVE_S = 0.15
+
+
+@dataclass
+class _SafeQueue:
+    """Cells proven safe for one game that may still be covered; kept in
+    that game's `GameState.solver_memo`.
+
+    Valid while the game's move log extends the log the cells were deduced
+    from: a growing view never makes a proven-safe cell unsafe.
+    """
+
+    moves_seen: int
+    last_move: Optional[tuple]
+    cells: list[Cell]  # descending, so the smallest is last
+
+
+def _queued_safe(state: GameState) -> Optional[Cell]:
+    """Smallest still-covered queued cell, or None (dropping the queue)
+    when it is used up or the move log diverged. The cell stays queued
+    until it is revealed, so asking twice without a reveal gives the same
+    answer."""
+    queue = state.solver_memo
+    if not isinstance(queue, _SafeQueue):
+        return None
+    n, moves = queue.moves_seen, state.moves
+    if len(moves) >= n and (n == 0 or moves[n - 1] is queue.last_move):
+        spec, revealed, cells = state.spec, state.revealed, queue.cells
+        while cells:
+            if not revealed[spec.index(cells[-1])]:
+                return cells[-1]
+            cells.pop()
+    state.solver_memo = None
+    return None
+
+
+def _queue_safe(state: GameState, safe: set[Cell]) -> Cell:
+    """Queue every safe cell for the following calls; return the smallest."""
+    moves = state.moves
+    queue = _SafeQueue(len(moves), moves[-1] if moves else None,
+                       sorted(safe, reverse=True))
+    state.solver_memo = queue
+    return queue.cells[-1]
+
+
+def _view_seed(state: GameState) -> int:
+    """Digest of the revealed mask: a sampler seed that depends only on
+    what the solver can see, not on how many moves led there."""
+    return int.from_bytes(blake2b(bytes(state.revealed), digest_size=8).digest(), "big")
 
 
 class MoveKind(Enum):
@@ -182,10 +233,14 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         prob = 0.0 if spec.first_click_safe else spec.mine_count / spec.cells
         return done(MoveKind.FIRST_MOVE, cell, prob, "logic")
 
+    queued = _queued_safe(state)
+    if queued is not None:
+        return done(MoveKind.REVEAL_SAFE, queued, 0.0, "logic")
+
     reduced = reduce_system(extract_constraints(state))
     safe, found_mines = deductions(reduced)
     if safe:
-        return done(MoveKind.REVEAL_SAFE, min(safe), 0.0, "logic")
+        return done(MoveKind.REVEAL_SAFE, _queue_safe(state, safe), 0.0, "logic")
 
     remaining = spec.mine_count - len(found_mines)
     covered = [c for c in state.covered_cells() if c not in reduced.known]
@@ -198,7 +253,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         probs, depth = _probability_map(
             reduced, sea, remaining, config,
             deadline=t0 + budget_s - _BUDGET_RESERVE_S,
-            seed_parts=(spec.seed, len(state.moves)),
+            view_seed=_view_seed(state),
         )
     if probs is None:
         probs = _heuristic_probs(reduced, sea, remaining)
@@ -209,7 +264,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
 
 def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
                      remaining_mines: int, config: SolverConfig,
-                     deadline: float, seed_parts: tuple[int, ...],
+                     deadline: float, view_seed: int,
                      ) -> tuple[Optional[Mapping[Cell, float]], str]:
     """Tally every group and fuse. Returns (probs, depth) or (None, ...)
     when the budget ran out before a usable map existed."""
@@ -230,6 +285,7 @@ def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
     if oversized:
         if config.mode == "exact":
             heuristic_cells = [g for _, g in oversized]
+            depth = "fallback"
         else:
             depth = "sampled"
             for n_left, (idx, group) in enumerate(oversized):
@@ -239,7 +295,7 @@ def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
                 try:
                     tallies.append(sample_group(
                         group, config.max_samples, share,
-                        derive_seed(*seed_parts, idx),
+                        derive_seed(view_seed, idx),
                         mode=config.sampler_mode, group_id=idx,
                     ))
                 except SamplingStarvedError:

@@ -15,12 +15,14 @@ for comparison; it starves on tightly constrained groups.
 from __future__ import annotations
 
 from time import monotonic
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
-
-from .exact import GroupTally, group_arrays
+from .engine import Cell
+from .exact import GroupTally
 from .grouping import Group
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_SAMPLES_DEFAULT = 1 << 18
 # draws per vectorized batch; the deadline is checked between batches
@@ -53,6 +55,8 @@ def sample_group(group: Group,
         raise ValueError(f"unknown sampler mode {mode!r}")
     if not group.vars:
         raise ValueError("cannot sample an empty group")
+    import numpy as np  # loaded on first use: exact and logic play never need it
+
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
@@ -104,10 +108,26 @@ def sample_group(group: Group,
     )
 
 
+def group_arrays(group: Group, order: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """(membership matrix, rhs vector) with variables in the given order."""
+    import numpy as np
+
+    pos = {cell: i for i, cell in enumerate(order)}
+    a = np.zeros((len(group.constraints), len(order)), dtype=np.int16)
+    rhs = np.zeros(len(group.constraints), dtype=np.int16)
+    for ci, constraint in enumerate(group.constraints):
+        for cell in constraint.vars:
+            a[ci, pos[cell]] = 1
+        rhs[ci] = constraint.rhs
+    return a, rhs
+
+
 def _importance_batch(a: np.ndarray, rhs: np.ndarray, batch: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One batch of randomized-order draws; all rows share the batch's
     variable order. Returns (accepted assignments, their weights)."""
+    import numpy as np
+
     n_cons, n = a.shape
     order = rng.permutation(n)
     remaining = a.sum(axis=1).astype(np.int64)
@@ -140,6 +160,8 @@ def _importance_batch(a: np.ndarray, rhs: np.ndarray, batch: int,
 def _rejection_batch(a: np.ndarray, rhs: np.ndarray, batch: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform assignments, kept only when every constraint is satisfied."""
+    import numpy as np
+
     n_cons, n = a.shape
     vals = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
     sums = vals.astype(np.int16) @ a.T.astype(np.int16)

@@ -1,8 +1,13 @@
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minesolve import exact
+from minesolve.engine import Cell
 from minesolve.exact import (
     EXACT_VAR_LIMIT,
     GroupTooLargeError,
@@ -131,3 +136,64 @@ def test_inconsistent_group_rejected():
     )
     with pytest.raises(InconsistentGroupError):
         enumerate_group(group)
+
+
+@st.composite
+def random_groups(draw):
+    """Up to 12 variables and 1-6 constraints. Each rhs is the sum of a
+    hidden assignment over the constraint's cells, or (sometimes) any
+    value in range, so unsatisfiable groups occur too."""
+    n = draw(st.integers(1, 12))
+    variables = [Cell(0, i) for i in range(n)]
+    hidden = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    constraints = {}
+    for _ in range(draw(st.integers(1, 6))):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 8)))
+        if draw(st.booleans()):
+            rhs = sum(hidden[i] for i in members)
+        else:
+            rhs = draw(st.integers(0, len(members)))
+        constraints[frozenset(members)] = rhs
+    group_vars = sorted({variables[i] for members in constraints for i in members})
+    return Group(
+        constraints=tuple(con([variables[i] for i in m], r) for m, r in constraints.items()),
+        vars=tuple(group_vars),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_groups())
+def test_matches_brute_force_property(group):
+    counts, cell_counts = naive_tally(group)
+    if not counts:
+        with pytest.raises(InconsistentGroupError):
+            enumerate_group(group)
+        return
+    tally = enumerate_group(group)
+    assert tally.counts == counts
+    assert {k: v for k, v in tally.cell_counts.items() if v} == cell_counts
+    assert set(tally.cell_counts) == {(v, k) for v in group.vars for k in counts}
+    assert tally.nodes_visited <= 2 ** len(group.vars)
+
+
+def loose_group() -> Group:
+    """22 cells under three overlapping 8-cell clues: ~49k solutions."""
+    row = [Cell(0, i) for i in range(22)]
+    constraints = (con(row[0:8], 3), con(row[7:15], 3), con(row[14:22], 3))
+    return Group(constraints=constraints, vars=tuple(row))
+
+
+def test_past_deadline_raises():
+    group = group_of(con([A, B], 1))
+    with pytest.raises(GroupTooLargeError):
+        enumerate_group(group, deadline=time.monotonic() - 1.0)
+
+
+def test_node_cap_raises(monkeypatch):
+    group = loose_group()
+    assert enumerate_group(group).nodes_visited > 2 * exact.CHECK_EVERY_NODES
+    monkeypatch.setattr(exact, "MAX_NODES", exact.CHECK_EVERY_NODES)
+    start = time.monotonic()
+    with pytest.raises(GroupTooLargeError):
+        enumerate_group(group)
+    assert time.monotonic() - start < 1.0

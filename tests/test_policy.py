@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from minesolve import policy
 from minesolve.combine import BoardContext, combine
+from minesolve.constraints import deductions, extract_constraints, reduce_system
 from minesolve.engine import (
     BoardSpec,
     Cell,
@@ -10,10 +12,11 @@ from minesolve.engine import (
     InvalidMoveError,
     new_board,
     parse_board,
+    render_board,
     reveal,
 )
 from minesolve.exact import enumerate_group
-from minesolve.grouping import Group
+from minesolve.grouping import Group, partition
 from minesolve.policy import (
     MoveKind,
     SolverConfig,
@@ -230,3 +233,144 @@ def test_mode_win_rates_monotone_over_paired_seeds(inter_batch,
     assert full_exact.z_score > z95
     assert full_logic.z_score > z95
     assert exact_logic.z_score > -z95  # no significant inversion
+
+
+def test_exact_mode_oversized_group_is_labelled_fallback():
+    """A guess that takes any group's probabilities from the density
+    heuristic is a fallback, not an exact count."""
+    config = SolverConfig(mode="exact", exact_var_limit=3)
+    labels = set()
+    for seed in range(40):
+        state = new_board(BoardSpec(8, 8, 10, seed=seed))
+        while state.status is GameStatus.IN_PROGRESS:
+            decision = next_move(state, config=config)
+            if decision.kind is MoveKind.GUESS:
+                groups = partition(reduce_system(extract_constraints(state)))
+                oversized = any(len(g.vars) > 3 for g in groups)
+                assert decision.pipeline_depth == ("fallback" if oversized else "exact")
+                labels.add(decision.pipeline_depth)
+            reveal(state, decision.cell)
+    assert labels == {"exact", "fallback"}
+
+
+class ExtractCounter:
+    """Counts full solves: every one starts with extract_constraints."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = policy.extract_constraints
+
+        def counted(state, *args):
+            self.calls += 1
+            return real(state, *args)
+
+        monkeypatch.setattr(policy, "extract_constraints", counted)
+
+
+def safe_set(state):
+    return deductions(reduce_system(extract_constraints(state)))[0]
+
+
+def state_with_queue(counter):
+    """An intermediate game just after a full solve proved at least three
+    cells safe and the smallest was revealed; the counter is then reset."""
+    for seed in range(200):
+        state = new_board(BoardSpec(16, 16, 40, seed=seed))
+        while state.status is GameStatus.IN_PROGRESS:
+            before = counter.calls
+            decision = next_move(state, config=SolverConfig(mode="exact"))
+            solved = counter.calls > before
+            safe = safe_set(state) if decision.kind is MoveKind.REVEAL_SAFE else set()
+            reveal(state, decision.cell)
+            if (solved and len(safe) >= 3 and state.status is GameStatus.IN_PROGRESS
+                    and sum(not state.is_revealed(c) for c in safe) >= 2):
+                counter.calls = 0
+                return state, safe
+    raise AssertionError("no position with a queue of safe cells")
+
+
+def test_queued_reveals_are_always_safe():
+    config = SolverConfig(mode="exact")
+    safe_moves = 0
+    for seed in range(200):
+        record = play_game(BoardSpec(16, 16, 40), config=config, seed=seed)
+        for move in record.moves:
+            if move.kind == "reveal_safe":
+                safe_moves += 1
+                assert move.result != "boom", (seed, move)
+    assert safe_moves > 5000
+
+
+def test_queue_serves_safe_cells_without_solving(monkeypatch):
+    counter = ExtractCounter(monkeypatch)
+    state, safe = state_with_queue(counter)
+    while True:
+        covered = sorted(c for c in safe if not state.is_revealed(c))
+        if not covered or state.status is not GameStatus.IN_PROGRESS:
+            break
+        decision = next_move(state)
+        assert counter.calls == 0
+        assert decision.kind is MoveKind.REVEAL_SAFE
+        assert decision.cell == covered[0]
+        assert next_move(state).cell == decision.cell  # no reveal, same answer
+        reveal(state, decision.cell)
+
+
+def test_queued_cell_opened_by_cascade_is_skipped(monkeypatch):
+    counter = ExtractCounter(monkeypatch)
+    for seed in range(300):
+        state = new_board(BoardSpec(16, 16, 40, seed=seed))
+        while state.status is GameStatus.IN_PROGRESS:
+            before = counter.calls
+            decision = next_move(state, config=SolverConfig(mode="exact"))
+            solved = counter.calls > before
+            safe = safe_set(state) if decision.kind is MoveKind.REVEAL_SAFE else set()
+            outcome = reveal(state, decision.cell)
+            cascaded = {c for c in safe if c in outcome.opened and c != decision.cell}
+            left = sorted(c for c in safe if not state.is_revealed(c))
+            if solved and cascaded and left and state.status is GameStatus.IN_PROGRESS:
+                before = counter.calls
+                follow = next_move(state)
+                assert counter.calls == before
+                assert follow.cell == left[0]
+                assert not state.is_revealed(follow.cell)
+                return
+    raise AssertionError("no cascade over a queued cell in 300 games")
+
+
+def test_queue_belongs_to_one_state_object(monkeypatch):
+    counter = ExtractCounter(monkeypatch)
+    state, safe = state_with_queue(counter)
+    queued = sorted(c for c in safe if not state.is_revealed(c))
+    others = [
+        state.copy(),
+        parse_board(render_board(state)),
+        new_board(BoardSpec(16, 16, 40, seed=10_000)),
+    ]
+    reveal(others[-1], first_move(others[-1].spec))
+    for other in others:
+        if other.status is not GameStatus.IN_PROGRESS:
+            continue
+        before = counter.calls
+        decision = next_move(other)
+        assert counter.calls == before + 1  # solved from its own view
+        own_safe = safe_set(other)
+        if own_safe:
+            assert decision.cell == min(own_safe)
+        else:
+            assert decision.kind is MoveKind.GUESS
+    # the original still serves its own queue
+    before = counter.calls
+    assert next_move(state).cell == queued[0]
+    assert counter.calls == before
+
+
+def test_queue_dropped_when_move_log_diverges(monkeypatch):
+    # an equal but rebuilt log is not the log the cells were deduced from
+    counter = ExtractCounter(monkeypatch)
+    state, _ = state_with_queue(counter)
+    next_move(state)
+    assert counter.calls == 0
+    state.moves[:] = [(cell, value) for cell, value in state.moves]
+    next_move(state)
+    assert counter.calls == 1
