@@ -3,7 +3,6 @@
 from .combine import (
     BoardContext,
     CombineInfeasibleError,
-    ProbabilityMap,
     combine,
     combine_by_enumeration,
 )

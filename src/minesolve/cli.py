@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -93,12 +92,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         board = _board_from_args(args)
         config = SolverConfig(budget_ms=args.budget_ms,
+                              mode=getattr(args, "mode", "full"),
                               first_move=args.first_move)
         if args.command == "play":
             report = run_batch(
-                board, args.games, base_seed=args.seed, mode=args.mode,
-                budget_ms=args.budget_ms,
-                config=replace(config, mode=args.mode),
+                board, args.games, base_seed=args.seed, config=config,
                 replay_dir=args.replay_dir,
             )
             body = {
@@ -113,7 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError(f"bad --modes value {args.modes!r}")
             report = run_ablation(
                 board, args.games, base_seed=args.seed, modes=modes,
-                budget_ms=args.budget_ms, config=config,
+                config=config,
             )
             body = {
                 "json": lambda: json.dumps(report.to_dict(), indent=2) + "\n",

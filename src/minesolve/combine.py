@@ -49,19 +49,6 @@ class BoardContext:
             raise ValueError("remaining_mines must be >= 0")
 
 
-@dataclass
-class ProbabilityMap:
-    """Posterior mine probability for every covered, unassigned cell."""
-
-    probs: dict[Cell, float]
-
-    def __getitem__(self, cell: Cell) -> float:
-        return self.probs[cell]
-
-    def total(self) -> float:
-        return sum(self.probs.values())
-
-
 def log_comb(n: int, r: int) -> float:
     if r < 0 or r > n:
         return NEG_INF
@@ -114,19 +101,14 @@ def _check_disjoint(tallies: Sequence[GroupTally], ctx: BoardContext) -> None:
         raise ValueError(f"sea cells overlap group cells: {sorted(overlap)}")
 
 
-def combine(tallies: Sequence[GroupTally], ctx: BoardContext,
-            sea_coupling: bool = True) -> ProbabilityMap:
-    """Per-cell mine probabilities from group tallies plus the mine budget.
+def combine(tallies: Sequence[GroupTally], ctx: BoardContext) -> dict[Cell, float]:
+    """Posterior mine probability for every covered, unassigned cell, from
+    group tallies plus the mine budget.
 
-    With sea_coupling (default) the result is the exact posterior under the
-    joint weights above; total probability equals remaining_mines. Without
-    it, each group is scored on its own tally alone and the sea receives
-    the leftover expectation - the cheaper approximation of treating groups
-    as fully independent of the budget.
+    The result is the exact posterior under the joint weights above; total
+    probability equals remaining_mines.
     """
     _check_disjoint(tallies, ctx)
-    if not sea_coupling:
-        return _combine_uncoupled(tallies, ctx)
     import numpy as np  # loaded on first use: exact and logic play never need it
 
     m, u = ctx.remaining_mines, len(ctx.unconstrained)
@@ -178,26 +160,11 @@ def combine(tallies: Sequence[GroupTally], ctx: BoardContext,
         )
         for cell in ctx.unconstrained:
             probs[cell] = sea_p
-    return ProbabilityMap(probs)
-
-
-def _combine_uncoupled(tallies: Sequence[GroupTally],
-                       ctx: BoardContext) -> ProbabilityMap:
-    probs: dict[Cell, float] = {}
-    expected = 0.0
-    for tally in tallies:
-        probs.update(tally.marginals())
-        expected += tally.expected_mines()
-    u = len(ctx.unconstrained)
-    if u:
-        sea_p = min(1.0, max(0.0, (ctx.remaining_mines - expected) / u))
-        for cell in ctx.unconstrained:
-            probs[cell] = sea_p
-    return ProbabilityMap(probs)
+    return probs
 
 
 def combine_by_enumeration(tallies: Sequence[GroupTally],
-                           ctx: BoardContext) -> ProbabilityMap:
+                           ctx: BoardContext) -> dict[Cell, float]:
     """Reference implementation: enumerate every mine-count vector.
 
     Exponential in the number of groups; retained as the oracle the
@@ -247,7 +214,7 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
         sea_p = ratio(sea_numer) / u
         for cell in ctx.unconstrained:
             probs[cell] = sea_p
-    return ProbabilityMap(probs)
+    return probs
 
 
 def format_grid(probs: dict[Cell, float], width: int, height: int) -> str:

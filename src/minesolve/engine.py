@@ -155,9 +155,6 @@ class GameState:
     def is_mine(self, cell: Cell) -> bool:
         return self.mines[self.spec.index(cell)]
 
-    def value_at(self, cell: Cell) -> int:
-        return self.values[self.spec.index(cell)]
-
     def revealed_clues(self) -> Iterator[tuple[int, int]]:
         """(flat index, value) for every revealed safe cell."""
         mines, revealed, values = self.mines, self.revealed, self.values

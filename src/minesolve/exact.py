@@ -50,7 +50,6 @@ class GroupTally:
     exact: bool
     samples_used: int = 0
     nodes_visited: int = 0
-    recorded: tuple = ()
 
     def total(self) -> float:
         return sum(self.counts.values())

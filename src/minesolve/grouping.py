@@ -20,10 +20,8 @@ class DisjointSet:
     def __init__(self, items) -> None:
         self.parent = {x: x for x in items}
         self.size = {x: 1 for x in self.parent}
-        self.union_calls = 0
-        self.find_calls = 0
 
-    def _root(self, x):
+    def find(self, x):
         root = x
         parent = self.parent
         while parent[root] != root:
@@ -32,13 +30,8 @@ class DisjointSet:
             parent[x], x = root, parent[x]
         return root
 
-    def find(self, x):
-        self.find_calls += 1
-        return self._root(x)
-
     def union(self, a, b) -> None:
-        self.union_calls += 1
-        ra, rb = self._root(a), self._root(b)
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
         if self.size[ra] < self.size[rb]:

@@ -129,10 +129,10 @@ def worker_count(workers: Optional[int] = None) -> int:
 
 
 def _play_span(args: tuple) -> list[tuple]:
-    spec, seeds, budget_ms, config, keep = args
+    spec, seeds, config, keep = args
     out = []
     for seed in seeds:
-        record = play_game(spec, budget_ms=budget_ms, config=config, seed=seed)
+        record = play_game(spec, config=config, seed=seed)
         out.append((
             seed, record.won, record.loss_on_first_move,
             record.move_times_ms(), record if keep else None,
@@ -141,28 +141,26 @@ def _play_span(args: tuple) -> list[tuple]:
 
 
 def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
-              mode: str = "full", budget_ms: float = 5000.0,
               config: Optional[SolverConfig] = None,
               workers: Optional[int] = None,
               keep_records: bool = False,
               replay_dir: Optional[Union[str, Path]] = None) -> BatchReport:
-    """Play `games` seeded games and aggregate win/time statistics."""
+    """Play `games` seeded games under `config` and aggregate win/time
+    statistics."""
     if games < 1:
         raise ValueError("games must be >= 1")
     spec = difficulty_spec(board) if isinstance(board, str) else board
     config = config or SolverConfig()
-    if config.mode != mode:
-        config = replace(config, mode=mode)
     keep = keep_records or replay_dir is not None
 
     seeds = list(range(base_seed, base_seed + games))
     n_workers = worker_count(workers)
     if n_workers <= 1 or games < _MIN_GAMES_FOR_POOL:
-        results = _play_span((spec, seeds, budget_ms, config, keep))
+        results = _play_span((spec, seeds, config, keep))
     else:
         spans = np.array_split(np.asarray(seeds), n_workers * 4)
         jobs = [
-            (spec, [int(s) for s in span], budget_ms, config, keep)
+            (spec, [int(s) for s in span], config, keep)
             for span in spans if span.size
         ]
         results = []
@@ -189,7 +187,7 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
 
     times_arr = np.asarray(all_times)
     report = BatchReport(
-        board=spec, mode=mode, games=games, wins=wins,
+        board=spec, mode=config.mode, games=games, wins=wins,
         win_rate=wins / games,
         wilson_95=wilson_interval(wins, games),
         move_time_ms={
@@ -200,7 +198,7 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
         },
         first_move_losses=first_losses,
         base_seed=base_seed,
-        budget_ms=budget_ms,
+        budget_ms=config.budget_ms,
         per_game=per_game,
         records=records,
     )
@@ -280,14 +278,15 @@ def paired_delta(mode_a: str, wins_a: Sequence[bool],
 
 def run_ablation(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
                  modes: Sequence[str] = ("logic", "exact", "full"),
-                 budget_ms: float = 5000.0,
                  config: Optional[SolverConfig] = None,
                  workers: Optional[int] = None) -> AblationReport:
-    """Same seeds under each pipeline truncation, plus paired win deltas."""
+    """Same seeds under each pipeline truncation, plus paired win deltas;
+    every setting but the mode comes from `config`."""
     spec = difficulty_spec(board) if isinstance(board, str) else board
+    config = config or SolverConfig()
     reports = {
-        mode: run_batch(spec, games, base_seed, mode=mode, budget_ms=budget_ms,
-                        config=config, workers=workers)
+        mode: run_batch(spec, games, base_seed, config=replace(config, mode=mode),
+                        workers=workers)
         for mode in modes
     }
     deltas = []

@@ -35,19 +35,14 @@ from .engine import (
     new_board,
     reveal,
 )
-from .exact import (
-    EXACT_VAR_LIMIT,
-    GroupTooLargeError,
-    InconsistentGroupError,
-    enumerate_group,
-)
+from .exact import GroupTooLargeError, InconsistentGroupError, enumerate_group
 from .grouping import Group, partition
-from .sampling import MAX_SAMPLES_DEFAULT, SAMPLER_MODES, SamplingStarvedError, sample_group
+from .sampling import SamplingStarvedError, sample_group
 
 MODES = ("full", "exact", "logic")
-PIPELINE_DEPTHS = ("logic", "exact", "sampled", "fallback")
 
-# reserved for assembling the move out of tallies and the final argmin
+# reserved for assembling the move out of tallies and the final argmin; at
+# most a quarter of the budget, so counting still gets time at small budgets
 _BUDGET_RESERVE_S = 0.15
 
 
@@ -110,19 +105,10 @@ class SolverConfig:
     budget_ms: float = 5000.0
     mode: str = "full"
     first_move: Union[str, tuple[int, int]] = "center"
-    tie_break: str = "row_major"
-    sea_coupling: bool = True
-    sampler_mode: str = "importance"
-    max_samples: int = MAX_SAMPLES_DEFAULT
-    exact_var_limit: int = EXACT_VAR_LIMIT
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.sampler_mode not in SAMPLER_MODES:
-            raise ValueError(f"unknown sampler_mode {self.sampler_mode!r}")
-        if self.tie_break != "row_major":
-            raise ValueError("only row_major tie-breaking is supported")
         if self.budget_ms <= 0:
             raise ValueError("budget_ms must be positive")
 
@@ -217,7 +203,8 @@ def _heuristic_probs(system: ConstraintSystem, sea: list[Cell],
 
 def next_move(state: GameState, budget_ms: Optional[float] = None,
               config: Optional[SolverConfig] = None) -> MoveDecision:
-    """Decide one move for the current position within the time budget."""
+    """Decide one move for the current position within the time budget
+    (`budget_ms` if given, else `config.budget_ms`)."""
     t0 = monotonic()
     config = config or SolverConfig()
     budget_s = (budget_ms if budget_ms is not None else config.budget_ms) / 1000.0
@@ -251,63 +238,43 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
     depth = "fallback"
     if config.mode != "logic":
         probs, depth = _probability_map(
-            reduced, sea, remaining, config,
-            deadline=t0 + budget_s - _BUDGET_RESERVE_S,
+            reduced, sea, remaining, config.mode,
+            deadline=t0 + budget_s - min(_BUDGET_RESERVE_S, budget_s / 4),
             view_seed=_view_seed(state),
         )
     if probs is None:
         probs = _heuristic_probs(reduced, sea, remaining)
-        depth = "fallback"
     cell, prob = argmin_cell(probs)
     return done(MoveKind.GUESS, cell, prob, depth)
 
 
 def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
-                     remaining_mines: int, config: SolverConfig,
+                     remaining_mines: int, mode: str,
                      deadline: float, view_seed: int,
                      ) -> tuple[Optional[Mapping[Cell, float]], str]:
-    """Tally every group and fuse. Returns (probs, depth) or (None, ...)
-    when the budget ran out before a usable map existed."""
-    groups = partition(reduced)
+    """Tally every group and fuse. Returns (probs, depth), with probs None
+    when the budget ran out before a usable map existed.
+
+    `full` mode samples the groups too large to count and couples all
+    groups through the mine budget (`combine`). `exact` mode takes each
+    counted group's own marginals, estimates oversized groups with the
+    density heuristic, and spreads the expected leftover mines uniformly
+    over the sea."""
     tallies = []
     oversized: list[tuple[int, Group]] = []
-    for idx, group in enumerate(groups):
-        if len(group.vars) > config.exact_var_limit:
-            oversized.append((idx, group))
-            continue
+    for idx, group in enumerate(partition(reduced)):
         try:
             tallies.append(enumerate_group(group, idx, deadline=deadline))
         except GroupTooLargeError:
             oversized.append((idx, group))
 
-    depth = "exact"
-    heuristic_cells: list[Group] = []
-    if oversized:
-        if config.mode == "exact":
-            heuristic_cells = [g for _, g in oversized]
-            depth = "fallback"
-        else:
-            depth = "sampled"
-            for n_left, (idx, group) in enumerate(oversized):
-                share = (deadline - monotonic()) / (len(oversized) - n_left)
-                if share <= 0:
-                    return None, depth
-                try:
-                    tallies.append(sample_group(
-                        group, config.max_samples, share,
-                        derive_seed(view_seed, idx),
-                        mode=config.sampler_mode, group_id=idx,
-                    ))
-                except SamplingStarvedError:
-                    return None, depth
-
-    if config.mode == "exact":
+    if mode == "exact":
         probs: dict[Cell, float] = {}
         expected = 0.0
         for tally in tallies:
             probs.update(tally.marginals())
             expected += tally.expected_mines()
-        for group in heuristic_cells:
+        for _, group in oversized:
             partial = _heuristic_probs(
                 ConstraintSystem(frozenset(group.constraints), {}), [], 0
             )
@@ -317,18 +284,27 @@ def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
             share = min(1.0, max(0.0, (remaining_mines - expected) / len(sea)))
             for cell in sea:
                 probs[cell] = share
-        return probs, depth
+        return probs, "fallback" if oversized else "exact"
 
-    ctx = BoardContext(remaining_mines, frozenset(sea))
+    for n_left, (idx, group) in enumerate(oversized):
+        share = (deadline - monotonic()) / (len(oversized) - n_left)
+        if share <= 0:
+            return None, "fallback"
+        try:
+            tallies.append(sample_group(
+                group, deadline=monotonic() + share,
+                rng=derive_seed(view_seed, idx), group_id=idx,
+            ))
+        except SamplingStarvedError:
+            return None, "fallback"
     try:
-        pmap = combine(tallies, ctx, sea_coupling=config.sea_coupling)
+        probs = combine(tallies, BoardContext(remaining_mines, frozenset(sea)))
     except (CombineInfeasibleError, InconsistentGroupError):
-        return None, depth
-    return pmap.probs, depth
+        return None, "fallback"
+    return probs, "sampled" if oversized else "exact"
 
 
-def play_game(spec: BoardSpec, budget_ms: Optional[float] = None,
-              config: Optional[SolverConfig] = None,
+def play_game(spec: BoardSpec, config: Optional[SolverConfig] = None,
               seed: Optional[int] = None) -> GameRecord:
     """Play one full game; every move and its wall time are recorded."""
     config = config or SolverConfig()
@@ -340,7 +316,7 @@ def play_game(spec: BoardSpec, budget_ms: Optional[float] = None,
                         loss_on_first_move=False)
     while state.status is GameStatus.IN_PROGRESS:
         t0 = monotonic()
-        decision = next_move(state, budget_ms, config)
+        decision = next_move(state, config=config)
         outcome = reveal(state, decision.cell)
         record.moves.append(MoveRecord(
             cell=decision.cell,

@@ -1,15 +1,12 @@
 """Approximate tallies for groups too large to enumerate, within a budget.
 
-The default scheme draws assignments by walking the variables in a random
+The sampler draws assignments by walking the variables in a random
 order: a variable whose value is forced by the running constraint sums is
 set for free, an unforced one is drawn uniformly, and the finished
 assignment is weighted by the inverse of its draw probability (2^#free
 choices). Every satisfying assignment is reachable under every order, so
 the weighted tallies are unbiased estimates of the exact counts up to a
 common scale - which is all the combiner needs.
-
-A plain rejection mode (uniform assignments, accept iff satisfying) is kept
-for comparison; it starves on tightly constrained groups.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ MAX_SAMPLES_DEFAULT = 1 << 18
 # draws per vectorized batch; the deadline is checked between batches
 BATCH_DRAWS = 1024
 
-SAMPLER_MODES = ("importance", "rejection")
-
 
 class SamplingStarvedError(RuntimeError):
     """No accepted samples within the budget; use the fallback heuristic."""
@@ -39,20 +34,16 @@ def sample_group(group: Group,
                  max_samples: int = MAX_SAMPLES_DEFAULT,
                  deadline: Optional[float] = None,
                  rng: Union[np.random.Generator, int, None] = None,
-                 mode: str = "importance",
-                 group_id: int = 0,
-                 record_limit: int = 0) -> GroupTally:
+                 group_id: int = 0) -> GroupTally:
     """Estimate a group's tally from up to max_samples candidate draws.
 
-    `deadline` is wall-clock seconds available from the time of the call;
-    sampling stops early once it is spent. Identical (group, rng seed,
-    budget) inputs give identical tallies. record_limit keeps that many
-    accepted assignments (as 0/1 tuples over sorted cells) for inspection.
+    `deadline` is an optional time.monotonic() cutoff; sampling stops at
+    the first batch boundary past it, after at least one batch. Identical
+    (group, rng seed, max_samples) inputs give identical tallies when the
+    deadline does not cut in.
     """
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
-    if mode not in SAMPLER_MODES:
-        raise ValueError(f"unknown sampler mode {mode!r}")
     if not group.vars:
         raise ValueError("cannot sample an empty group")
     import numpy as np  # loaded on first use: exact and logic play never need it
@@ -63,20 +54,15 @@ def sample_group(group: Group,
     cells = tuple(sorted(group.vars))
     a, rhs = group_arrays(group, list(cells))
     n = len(cells)
-    t_end = None if deadline is None else monotonic() + deadline
 
     counts = np.zeros(n + 1, dtype=np.float64)
     cell_counts = np.zeros((n, n + 1), dtype=np.float64)
-    recorded: list[tuple[int, ...]] = []
     draws_done = 0
     while draws_done < max_samples:
-        if t_end is not None and monotonic() > t_end and draws_done > 0:
+        if deadline is not None and monotonic() > deadline and draws_done > 0:
             break
         batch = min(BATCH_DRAWS, max_samples - draws_done)
-        if mode == "importance":
-            vals, weights = _importance_batch(a, rhs, batch, rng)
-        else:
-            vals, weights = _rejection_batch(a, rhs, batch, rng)
+        vals, weights = _importance_batch(a, rhs, batch, rng)
         draws_done += batch
         if vals.shape[0] == 0:
             continue
@@ -85,9 +71,6 @@ def sample_group(group: Group,
             m = ks == k
             counts[k] += weights[m].sum()
             cell_counts[:, k] += vals[m].T.astype(np.float64) @ weights[m]
-        if record_limit and len(recorded) < record_limit:
-            for row in vals[: record_limit - len(recorded)]:
-                recorded.append(tuple(int(x) for x in row))
 
     if counts.sum() <= 0.0:
         raise SamplingStarvedError(
@@ -104,7 +87,6 @@ def sample_group(group: Group,
         },
         exact=False,
         samples_used=draws_done,
-        recorded=tuple(recorded),
     )
 
 
@@ -155,16 +137,3 @@ def _importance_batch(a: np.ndarray, rhs: np.ndarray, batch: int,
     vals = vals[alive]
     weights = np.exp2(free_bits[alive].astype(np.float64))
     return vals, weights
-
-
-def _rejection_batch(a: np.ndarray, rhs: np.ndarray, batch: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform assignments, kept only when every constraint is satisfied."""
-    import numpy as np
-
-    n_cons, n = a.shape
-    vals = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
-    sums = vals.astype(np.int16) @ a.T.astype(np.int16)
-    alive = (sums == rhs).all(axis=1)
-    vals = vals[alive]
-    return vals, np.ones(vals.shape[0], dtype=np.float64)

@@ -12,6 +12,7 @@ import pytest
 
 from minesolve.harness import run_batch
 from minesolve.oracle import exact_board_probabilities
+from minesolve.policy import SolverConfig
 
 from helpers import pipeline_probability_map, random_position
 
@@ -37,28 +38,30 @@ def oracle_positions():
 @pytest.fixture(scope="session")
 def simple_batch():
     t0 = time.monotonic()
-    report = run_batch("simple", games=10_000, base_seed=1000, mode="full",
-                       keep_records=True)
+    report = run_batch("simple", games=10_000, base_seed=1000,
+                       config=SolverConfig(mode="full"), keep_records=True)
     return report, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
 def inter_batch():
-    return run_batch("intermediate", games=5_000, base_seed=2000, mode="full",
-                     keep_records=True)
+    return run_batch("intermediate", games=5_000, base_seed=2000,
+                     config=SolverConfig(mode="full"), keep_records=True)
 
 
 @pytest.fixture(scope="session")
 def exact_inter_batch():
-    return run_batch("intermediate", games=5_000, base_seed=2000, mode="exact")
+    return run_batch("intermediate", games=5_000, base_seed=2000,
+                     config=SolverConfig(mode="exact"))
 
 
 @pytest.fixture(scope="session")
 def logic_inter_batch():
-    return run_batch("intermediate", games=5_000, base_seed=2000, mode="logic")
+    return run_batch("intermediate", games=5_000, base_seed=2000,
+                     config=SolverConfig(mode="logic"))
 
 
 @pytest.fixture(scope="session")
 def hard_batch():
-    return run_batch("hard", games=100, base_seed=3000, mode="full",
-                     keep_records=True)
+    return run_batch("hard", games=100, base_seed=3000,
+                     config=SolverConfig(mode="full"), keep_records=True)

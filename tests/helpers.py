@@ -120,7 +120,7 @@ def pipeline_probability_map(state: GameState) -> PipelineResult:
     sea = frozenset(c for c in covered if c not in group_vars)
     tallies = [enumerate_group(g, i) for i, g in enumerate(partition(reduced))]
     pmap = combine(tallies, BoardContext(remaining, sea))
-    probs = dict(pmap.probs)
+    probs = dict(pmap)
     for cell, value in reduced.known.items():
         probs[cell] = float(value)
-    return PipelineResult(probs, pmap.total(), dict(reduced.known), remaining)
+    return PipelineResult(probs, sum(pmap.values()), dict(reduced.known), remaining)

@@ -60,14 +60,14 @@ def test_one_group_with_sea_matches_direct_enumeration():
     pmap = combine([tally_of(*constraints, variables=(A, B))], BoardContext(2, SEA2))
     for cell, want in expected.items():
         assert pmap[cell] == pytest.approx(want, abs=1e-12)
-    assert pmap.total() == pytest.approx(2.0, abs=1e-9)
+    assert sum(pmap.values()) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_no_groups_uniform_sea():
     sea = frozenset(cells((0, 0), (0, 1), (0, 2), (0, 3), (0, 4)))
     pmap = combine([], BoardContext(2, sea))
-    assert all(p == pytest.approx(0.4, abs=1e-12) for p in pmap.probs.values())
-    assert len(pmap.probs) == 5
+    assert all(p == pytest.approx(0.4, abs=1e-12) for p in pmap.values())
+    assert len(pmap) == 5
 
 
 def test_single_triple_group_no_sea():
@@ -113,7 +113,7 @@ def test_vector_pruning_drops_infeasible_counts():
     sea = frozenset(cells((5, 0),))
     pmap = combine([t1, t2], BoardContext(3, sea))
     assert pmap[Cell(5, 0)] == pytest.approx(1.0, abs=1e-12)
-    assert pmap.total() == pytest.approx(3.0, abs=1e-9)
+    assert sum(pmap.values()) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_dp_equals_enumeration_on_random_tallies():
@@ -137,8 +137,8 @@ def test_dp_equals_enumeration_on_random_tallies():
                 combine(tallies, ctx)
             continue
         dp = combine(tallies, ctx)
-        assert set(dp.probs) == set(direct.probs)
-        for cell in dp.probs:
+        assert set(dp) == set(direct)
+        for cell in dp:
             assert dp[cell] == pytest.approx(direct[cell], abs=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_combine_accepts_sampled_tallies():
     ctx = BoardContext(max(exact.counts) + 1, sea)
     approx = combine([sampled], ctx)
     truth = combine([exact], ctx)
-    for cell in truth.probs:
+    for cell in truth:
         assert approx[cell] == pytest.approx(truth[cell], abs=0.03)
 
 
@@ -183,22 +183,13 @@ def test_marginals_stable_across_mine_budget_sweep():
     last = None
     for m in range(2, 12):
         pmap = combine([t1, t2], BoardContext(m, sea))
-        for p in pmap.probs.values():
+        for p in pmap.values():
             assert 0.0 <= p <= 1.0 and not math.isnan(p)
-        assert pmap.total() == pytest.approx(m, abs=1e-9)
+        assert sum(pmap.values()) == pytest.approx(m, abs=1e-9)
         sea_p = pmap[Cell(7, 0)]
         if last is not None:
             assert sea_p >= last - 1e-12  # more mines, wetter sea
         last = sea_p
-
-
-def test_uncoupled_mode_uses_plain_group_marginals():
-    t1 = tally_of(con([A, B], 1), variables=(A, B))
-    sea = frozenset(cells((5, 0), (5, 1), (5, 2)))
-    pmap = combine([t1], BoardContext(2, sea), sea_coupling=False)
-    assert pmap[A] == pytest.approx(0.5)
-    # leftover expectation (2 - 1) spread over three sea cells
-    assert pmap[Cell(5, 0)] == pytest.approx(1 / 3)
 
 
 def test_overlapping_groups_rejected():

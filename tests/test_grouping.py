@@ -1,7 +1,7 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
-from minesolve.grouping import DisjointSet, link_constraint_vars, partition
+from minesolve.grouping import DisjointSet, partition
 
 from helpers import cells, con, random_consistent_system, system
 
@@ -80,15 +80,23 @@ def test_group_vars_cover_system_and_stay_disjoint():
         assert union == sys_.variables()
 
 
-def test_union_find_operations_stay_linear_in_total_vars():
+def test_union_find_operations_stay_linear_in_total_vars(monkeypatch):
+    calls = Counter()
+    for name in ("union", "find"):
+        def counted(self, *args, _name=name, _real=getattr(DisjointSet, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(DisjointSet, name, counted)
     rng = random.Random(31)
     for _ in range(25):
         sys_ = random_consistent_system(rng, rng.randint(3, 14), rng.randint(2, 9))
         total_vars = sum(len(c.vars) for c in sys_.constraints)
-        dsu = link_constraint_vars(sys_)
-        for constraint in sys_.constraints:  # the bucketing pass of partition
-            dsu.find(next(iter(constraint.vars)))
-        assert dsu.union_calls + dsu.find_calls <= 2 * total_vars
+        calls.clear()
+        partition(sys_)
+        # every union makes two find calls of its own; count only the others
+        outside_finds = calls["find"] - 2 * calls["union"]
+        assert calls["union"] + outside_finds <= 2 * total_vars
 
 
 def test_disjoint_set_merges():

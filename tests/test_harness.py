@@ -16,6 +16,7 @@ from minesolve.harness import (
     wilson_interval,
     worker_count,
 )
+from minesolve.policy import SolverConfig
 
 TINY = BoardSpec(2, 2, 0)
 COIN = BoardSpec(2, 1, 1)
@@ -74,6 +75,23 @@ def test_replay_logs_for_lost_games(tmp_path):
     assert len(files) == len(losses)
     payload = json.loads(files[0].read_text())
     assert payload["moves"][-1]["result"] == "boom"
+
+
+def test_batch_reports_the_config_it_played():
+    report = run_batch(BoardSpec(5, 5, 4), games=5, workers=1,
+                       config=SolverConfig(mode="exact", budget_ms=200))
+    assert report.mode == "exact"
+    assert report.budget_ms == 200
+    assert report.to_dict()["budget_ms"] == 200
+
+
+def test_ablation_keeps_config_apart_from_mode():
+    report = run_ablation(BoardSpec(5, 5, 4), games=5, workers=1,
+                          modes=("logic", "exact"),
+                          config=SolverConfig(mode="full", budget_ms=200))
+    assert {m: r.mode for m, r in report.reports.items()} == {
+        "logic": "logic", "exact": "exact"}
+    assert all(r.budget_ms == 200 for r in report.reports.values())
 
 
 def test_ablation_on_trivial_board():
