@@ -50,8 +50,8 @@ from .policy import (
 )
 from .sampling import SamplingStarvedError, sample_group
 
-# The harness and the oracle import numpy, which exact- and logic-mode play
-# never need; their names load on first access (PEP 562).
+# The harness and the oracle import numpy, which play never needs until a
+# guess samples; their names load on first access (PEP 562).
 _LAZY = {
     "AblationReport": "harness",
     "BatchReport": "harness",

@@ -9,10 +9,16 @@ mine-count vector carries weight
 
 which is zero whenever the leftover is negative or exceeds the sea - that
 zeroing is what rules out impossible per-group mine counts. Cell marginals
-under these weights are computed with a convolution over the groups'
-count distributions rather than by enumerating vectors; the two agree
-exactly, and the explicit enumerator is kept as a cross-check. Binomial
-factors reach C(~480, r), so all weight accumulation runs in log space.
+under these weights come from prefix and suffix convolutions of the
+groups' mine-count lists rather than from enumerating vectors; the two
+agree exactly, and the explicit enumerator is kept as a cross-check.
+
+When every tally is exact the weights are Python integers and each
+posterior is one integer division, so it is correctly rounded and equal
+posteriors come out as equal floats. With any sampled tally the same
+arithmetic runs on floats, with each weight list divided by its maximum so
+that sea binomials up to C(480, 240) stay in range. It is plain Python: a
+guess whose groups are all counted exactly never loads numpy.
 """
 
 from __future__ import annotations
@@ -21,15 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .engine import Cell
 from .exact import GroupTally
-
-if TYPE_CHECKING:
-    import numpy as np
-
-NEG_INF = float("-inf")
 
 
 class CombineInfeasibleError(ValueError):
@@ -49,44 +50,20 @@ class BoardContext:
             raise ValueError("remaining_mines must be >= 0")
 
 
-def log_comb(n: int, r: int) -> float:
-    if r < 0 or r > n:
-        return NEG_INF
-    if r == 0 or r == n:
-        return 0.0
-    return math.log(math.comb(n, r))
-
-
-def _lse(arr: np.ndarray) -> float:
-    import numpy as np
-
-    m = arr.max()
-    if m == NEG_INF:
-        return NEG_INF
-    return float(m + np.log(np.exp(arr - m).sum()))
-
-
-def _log_counts(tally: GroupTally) -> np.ndarray:
-    import numpy as np
-
-    ks = tally.counts.keys()
-    out = np.full(max(ks) + 1, NEG_INF)
-    for k, n in tally.counts.items():
-        if n > 0:
-            out[k] = math.log(n)
+def _conv(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of polynomials a and b."""
+    out = [0] * min(len(a) + len(b) - 1, n)
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                out[i + j] += x * y
     return out
 
 
-def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    out = np.full(len(a) + len(b) - 1, NEG_INF)
-    for i, la in enumerate(a):
-        if la == NEG_INF:
-            continue
-        seg = out[i:i + len(b)]
-        np.logaddexp(seg, la + b, out=seg)
-    return out
+def _coef(a: list, b: list, t: int):
+    """Coefficient t of the product of polynomials a and b."""
+    return sum(a[i] * b[t - i]
+               for i in range(max(0, t - len(b) + 1), min(len(a), t + 1)))
 
 
 def _check_disjoint(tallies: Sequence[GroupTally], ctx: BoardContext) -> None:
@@ -109,57 +86,56 @@ def combine(tallies: Sequence[GroupTally], ctx: BoardContext) -> dict[Cell, floa
     probability equals remaining_mines.
     """
     _check_disjoint(tallies, ctx)
-    import numpy as np  # loaded on first use: exact and logic play never need it
-
     m, u = ctx.remaining_mines, len(ctx.unconstrained)
-    logs = [_log_counts(t) for t in tallies]
+    weights = [
+        [tally.counts.get(k, 0) for k in range(min(max(tally.counts), m) + 1)]
+        for tally in tallies
+    ]
+    # the groups take at most sum(len(w) - 1) mines, so the sea takes at
+    # least lo; sea[i] counts placements of lo + i mines in it, and every
+    # list index is a mine count minus lo, up to hi = m - lo
+    lo = max(0, m - sum(len(w) - 1 for w in weights))
+    hi = m - lo
+    sea = [math.comb(u, j) for j in range(lo, min(u, m) + 1)]
+    tops = [1] * len(tallies)
+    if not all(tally.exact for tally in tallies):
+        # sampled weights have any scale: divide each list by its maximum
+        tops = [max(tally.counts.values()) for tally in tallies]
+        weights = [[x / top for x in w] for w, top in zip(weights, tops)]
+        top = max(sea, default=1)
+        sea = [x / top for x in sea]
 
-    prefix: list[np.ndarray] = [np.zeros(1)]
-    for lg in logs:
-        prefix.append(_log_conv(prefix[-1], lg))
-    suffix: list[np.ndarray] = [np.zeros(1)]
-    for lg in reversed(logs):
-        suffix.append(_log_conv(suffix[-1], lg))
+    # prefix[g]: the sea and groups before g; suffix[g]: groups g onwards
+    prefix = [sea]
+    for w in weights[:-1]:
+        prefix.append(_conv(prefix[-1], w, hi + 1))
+    suffix = [[1]]
+    for w in reversed(weights):
+        suffix.append(_conv(w, suffix[-1], hi + 1))
     suffix.reverse()
 
-    total = prefix[-1]  # log of the k-vector-sum distribution
-    log_w = _lse(np.array(
-        [total[s] + log_comb(u, m - s) for s in range(len(total))]
-    ))
-    if log_w == NEG_INF:
+    w_total = _coef(sea, suffix[0], hi)
+    if not w_total:
         raise CombineInfeasibleError(
             f"no assignment places {m} mines over these groups and {u} sea cells"
         )
 
     probs: dict[Cell, float] = {}
     for g, tally in enumerate(tallies):
-        rest = _log_conv(prefix[g], suffix[g + 1])
-        # log weight attached to this group taking exactly k mines
-        log_kw = {
-            k: _lse(np.array(
-                [rest[s] + log_comb(u, m - k - s) for s in range(len(rest))]
-            ))
-            for k in tally.counts
-        }
+        # weight of every assignment in which this group takes k mines
+        kw = [(k, x) for k, w in enumerate(weights[g])
+              if w and (x := _coef(prefix[g], suffix[g + 1], hi - k))]
+        denom = w_total * tops[g]
+        cell_counts = tally.cell_counts
         for cell in tally.cells:
-            terms = [
-                math.log(c) + log_kw[k]
-                for k in tally.counts
-                if (c := tally.cell_counts.get((cell, k), 0)) > 0
-                and log_kw[k] > NEG_INF
-            ]
-            probs[cell] = math.exp(_lse(np.array(terms)) - log_w) if terms else 0.0
+            numer = sum(cell_counts.get((cell, k), 0) * x for k, x in kw)
+            probs[cell] = numer / denom
 
     if u:
-        terms = [
-            total[s] + log_comb(u, m - s) + math.log(m - s)
-            for s in range(len(total)) if m - s >= 1
-        ]
-        sea_p = (
-            math.exp(_lse(np.array(terms)) - log_w) / u if terms else 0.0
-        )
-        for cell in ctx.unconstrained:
-            probs[cell] = sea_p
+        sea_mines = [(lo + i) * x for i, x in enumerate(sea)]
+        probs.update(dict.fromkeys(
+            ctx.unconstrained, _coef(sea_mines, suffix[0], hi) / (w_total * u)
+        ))
     return probs
 
 
@@ -204,14 +180,14 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
             f"no assignment places {m} mines over these groups and {u} sea cells"
         )
 
-    def ratio(a: object) -> float:
+    def ratio(a: object, scale: int = 1) -> float:
         if all_exact:
-            return float(Fraction(int(a), int(w_total)))
-        return a / w_total
+            return float(Fraction(int(a), int(w_total) * scale))
+        return a / (w_total * scale)
 
     probs = {cell: ratio(v) for cell, v in numer.items()}
     if u:
-        sea_p = ratio(sea_numer) / u
+        sea_p = ratio(sea_numer, u)
         for cell in ctx.unconstrained:
             probs[cell] = sea_p
     return probs

@@ -46,7 +46,7 @@ def sample_group(group: Group,
         raise ValueError("max_samples must be >= 1")
     if not group.vars:
         raise ValueError("cannot sample an empty group")
-    import numpy as np  # loaded on first use: exact and logic play never need it
+    import numpy as np  # loaded on first use: only sampled guesses need it
 
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)

@@ -7,6 +7,8 @@ every game in them is a complete, independently seeded playout.
 
 import random
 
+import pytest
+
 from minesolve.engine import GameStatus, parse_board, reveal
 from minesolve.constraints import deductions, extract_constraints, reduce_system
 from minesolve.exact import enumerate_group
@@ -22,6 +24,7 @@ def check(criterion: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} {label}: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence(oracle_positions):
     rows, elapsed = oracle_positions
     worst = 0.0
@@ -34,6 +37,7 @@ def test_criterion_1_oracle_equivalence(oracle_positions):
           f"500 positions, worst cell error {worst:.3e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_mass_conservation(oracle_positions):
     rows, _ = oracle_positions
     worst = 0.0
@@ -43,6 +47,7 @@ def test_criterion_2_mass_conservation(oracle_positions):
           f"max |sum(P) - remaining| = {worst:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_forced_moves_never_explode(simple_batch, inter_batch,
                                                 hard_batch):
     records = (
@@ -62,6 +67,7 @@ def test_criterion_3_forced_moves_never_explode(simple_batch, inter_batch,
           f"{reveals} reveal_safe moves across 2000 games, {booms} exploded")
 
 
+@pytest.mark.slow
 def test_criterion_4_first_move_loss_rate(simple_batch):
     report, elapsed = simple_batch
     rate = report.first_move_losses / report.games
@@ -71,6 +77,7 @@ def test_criterion_4_first_move_loss_rate(simple_batch):
           f"(true 10/64 = 0.15625), batch took {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_move_deadline(hard_batch):
     times = hard_batch.move_time_ms
     check(5, "5s move deadline",
@@ -78,6 +85,7 @@ def test_criterion_5_move_deadline(hard_batch):
           f"100 hard games: max {times['max']:.0f}ms, p99 {times['p99']:.0f}ms")
 
 
+@pytest.mark.slow
 def test_criterion_6_sampler_fidelity():
     rng = random.Random(424243)
     worst = 0.0
@@ -92,6 +100,7 @@ def test_criterion_6_sampler_fidelity():
           f"20 groups at 2^18 samples, worst marginal gap {worst:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_full_beats_logic(inter_batch, logic_inter_batch):
     full_wins = [g.won for g in inter_batch.per_game[:2000]]
     logic_wins = [g.won for g in logic_inter_batch.per_game[:2000]]
@@ -120,6 +129,7 @@ def test_criterion_8_one_two_one_needs_no_guess():
           f"depth={decision.pipeline_depth}")
 
 
+@pytest.mark.slow
 def test_criterion_9_win_rate_floors(simple_batch, inter_batch):
     simple_rate = simple_batch[0].win_rate
     inter_rate = inter_batch.win_rate

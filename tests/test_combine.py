@@ -10,7 +10,6 @@ from minesolve.combine import (
     combine,
     combine_by_enumeration,
     format_grid,
-    log_comb,
 )
 from minesolve.engine import Cell
 from minesolve.exact import enumerate_group
@@ -116,7 +115,9 @@ def test_vector_pruning_drops_infeasible_counts():
     assert sum(pmap.values()) == pytest.approx(3.0, abs=1e-9)
 
 
-def test_dp_equals_enumeration_on_random_tallies():
+def random_tally_cases():
+    """(tallies, ctx) pairs of 1-4 exact groups, a sea of 0-6 cells and a
+    mine budget that is sometimes infeasible."""
     rng = random.Random(89)
     for _ in range(30):
         tallies = []
@@ -129,7 +130,11 @@ def test_dp_equals_enumeration_on_random_tallies():
             tallies.append(tally_of(con(vs, hidden), variables=vs, group_id=g))
         sea = frozenset(cells(*((9, i) for i in range(rng.randint(0, 6)))))
         m = rng.randint(0, sum(max(t.counts) for t in tallies) + len(sea))
-        ctx = BoardContext(m, sea)
+        yield tallies, BoardContext(m, sea)
+
+
+def test_dp_equals_enumeration_on_random_tallies():
+    for tallies, ctx in random_tally_cases():
         try:
             direct = combine_by_enumeration(tallies, ctx)
         except CombineInfeasibleError:
@@ -140,6 +145,20 @@ def test_dp_equals_enumeration_on_random_tallies():
         assert set(dp) == set(direct)
         for cell in dp:
             assert dp[cell] == pytest.approx(direct[cell], abs=1e-12)
+
+
+def test_exact_tallies_match_enumeration_bit_for_bit():
+    # both sides divide exact integers once, so each posterior is the
+    # correctly rounded rational and the floats are identical
+    checked = 0
+    for tallies, ctx in random_tally_cases():
+        try:
+            direct = combine_by_enumeration(tallies, ctx)
+        except CombineInfeasibleError:
+            continue
+        assert combine(tallies, ctx) == direct
+        checked += 1
+    assert checked >= 10
 
 
 def test_combine_accepts_sampled_tallies():
@@ -153,6 +172,29 @@ def test_combine_accepts_sampled_tallies():
     truth = combine([exact], ctx)
     for cell in truth:
         assert approx[cell] == pytest.approx(truth[cell], abs=0.03)
+
+
+def test_sampled_tally_on_hard_sized_board_stays_in_range():
+    # a 30x16-sized context: ~400 sea cells, 90 mines to place, five exact
+    # groups and one sampled group whose weights are around 2^56 per draw
+    wide = [Cell(20, i) for i in range(58)]
+    sampled = sample_group(
+        Group(constraints=(con(wide[:30], 10), con(wide[28:], 10)),
+              vars=tuple(wide)),
+        max_samples=1 << 12, rng=5, group_id=5,
+    )
+    assert max(sampled.counts.values()) > 1e17
+    tallies = []
+    for g in range(5):
+        vs = cells(*((g, i) for i in range(4)))
+        tallies.append(tally_of(con(vs[:3], 1), con(vs[1:], 2),
+                                variables=vs, group_id=g))
+    sea = frozenset(Cell(30 + i // 30, i % 30) for i in range(400))
+    pmap = combine(tallies + [sampled], BoardContext(90, sea))
+    assert len(pmap) == 5 * 4 + 58 + 400
+    for p in pmap.values():
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
+    assert sum(pmap.values()) == pytest.approx(90, abs=1e-9)
 
 
 def test_mass_conservation_on_game_positions():
@@ -199,13 +241,6 @@ def test_overlapping_groups_rejected():
         combine([t1, t2], BoardContext(2, frozenset()))
     with pytest.raises(ValueError):
         combine([t1], BoardContext(2, frozenset({A})))
-
-
-def test_log_comb_matches_exact():
-    assert log_comb(5, -1) == float("-inf")
-    assert log_comb(5, 6) == float("-inf")
-    assert log_comb(5, 0) == 0.0
-    assert log_comb(480, 240) == pytest.approx(math.log(math.comb(480, 240)))
 
 
 def test_format_grid_four_decimals():

@@ -29,6 +29,7 @@ def test_zero_mine_board_always_wins():
     assert report.first_move_losses == 0
 
 
+@pytest.mark.slow
 def test_batch_reproducible():
     a = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7, workers=1)
     b = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7, workers=1)
@@ -37,6 +38,7 @@ def test_batch_reproducible():
     assert a.wins == b.wins
 
 
+@pytest.mark.slow
 def test_parallel_and_serial_agree():
     serial = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3, workers=1)
     parallel = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3, workers=2)

@@ -1,4 +1,5 @@
-"""Exact- and logic-mode play must not load numpy; the harness still does."""
+"""Play whose guesses are all counted exactly must not load numpy; the
+sampler and the harness still do."""
 
 import os
 import subprocess
@@ -21,14 +22,39 @@ print("ok")
 """
 
 
-def test_exact_mode_game_leaves_numpy_unloaded():
+FULL_SCRIPT = """
+import sys
+from minesolve import (Cell, Constraint, Group, SolverConfig, difficulty_spec,
+                       play_game, sample_group)
+
+record = play_game(difficulty_spec("simple"), config=SolverConfig(mode="full"), seed=3)
+depths = [m.pipeline_depth for m in record.moves if m.kind == "guess"]
+assert depths and set(depths) == {"exact"}, depths
+assert "numpy" not in sys.modules, "exactly counted full-mode play imported numpy"
+pair = (Cell(0, 0), Cell(0, 1))
+sample_group(Group(constraints=(Constraint(frozenset(pair), 1),), vars=pair),
+             max_samples=64, rng=0)
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def run_fresh(script: str) -> None:
     src = str(Path(minesolve.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_exact_mode_game_leaves_numpy_unloaded():
+    run_fresh(SCRIPT)
+
+
+def test_exactly_counted_full_mode_game_leaves_numpy_unloaded():
+    run_fresh(FULL_SCRIPT)
 
 
 def test_lazy_names_are_exported():

@@ -97,6 +97,43 @@ def test_argmin_scale_invariant_row_major_ties():
     assert argmin_cell(scaled)[0] == cell
 
 
+# 8x8/10 board seed 304 at its third guess: frontier cell (2, 0) and every
+# sea cell have posterior exactly 5/38, the lowest on the board
+TIED_TEXT = """8 8 10
+...*....
+.....**.
+.*......
+...**...
+*.......
+..*.....
+..*...*.
+........
+
+RRR#####
+RRR#####
+##R#####
+#R######
+####R###
+########
+########
+########
+"""
+
+
+def test_exact_ties_go_to_lowest_row_major_cell():
+    state = parse_board(TIED_TEXT)
+    result = pipeline_probability_map(state)
+    unassigned = {c: p for c, p in result.probs.items() if c not in result.known}
+    best = min(unassigned.values())
+    assert best == 5 / 38
+    assert unassigned[Cell(2, 0)] == unassigned[Cell(0, 4)] == best
+    decision = next_move(state, config=SolverConfig(mode="full"))
+    assert decision.kind is MoveKind.GUESS
+    assert decision.pipeline_depth == "exact"
+    assert decision.cell == Cell(0, 4)
+    assert decision.cell == min(c for c, p in unassigned.items() if p == best)
+
+
 def test_play_zero_mine_board_wins_in_one_move():
     record = play_game(BoardSpec(2, 2, 0), seed=0)
     assert record.won
@@ -163,6 +200,7 @@ def test_exact_mode_skips_sampling(monkeypatch):
     assert "exact" in seen
 
 
+@pytest.mark.slow
 def test_small_exact_limit_forces_sampling(monkeypatch):
     monkeypatch.setattr(exact, "EXACT_VAR_LIMIT", 3)
     config = SolverConfig(mode="full")
@@ -217,6 +255,7 @@ def test_loss_on_first_move_flag():
     assert seen_first_loss  # ~15% of openings explode
 
 
+@pytest.mark.slow
 def test_protected_first_click_never_loses_move_one():
     spec = BoardSpec(8, 8, 10, first_click_safe=True)
     for seed in range(60):
@@ -231,6 +270,7 @@ def test_game_record_timings_recorded():
     assert record.seed == 1
 
 
+@pytest.mark.slow
 def test_mode_win_rates_monotone_over_paired_seeds(inter_batch,
                                                    exact_inter_batch,
                                                    logic_inter_batch):
