@@ -126,10 +126,8 @@ def combine(tallies: Sequence[GroupTally], ctx: BoardContext) -> dict[Cell, floa
         kw = [(k, x) for k, w in enumerate(weights[g])
               if w and (x := _coef(prefix[g], suffix[g + 1], hi - k))]
         denom = w_total * tops[g]
-        cell_counts = tally.cell_counts
-        for cell in tally.cells:
-            numer = sum(cell_counts.get((cell, k), 0) * x for k, x in kw)
-            probs[cell] = numer / denom
+        for cell, row in zip(tally.cells, tally.cell_counts):
+            probs[cell] = sum(row[k] * x for k, x in kw) / denom
 
     if u:
         sea_mines = [(lo + i) * x for i, x in enumerate(sea)]
@@ -173,8 +171,8 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
             partial = weight / tally.counts[k] if not all_exact else (
                 weight // tally.counts[k]
             )
-            for cell in tally.cells:
-                numer[cell] += partial * tally.cell_counts.get((cell, k), 0)
+            for cell, row in zip(tally.cells, tally.cell_counts):
+                numer[cell] += partial * row[k]
     if w_total == 0:
         raise CombineInfeasibleError(
             f"no assignment places {m} mines over these groups and {u} sea cells"

@@ -87,6 +87,12 @@ def neighbor_table(width: int, height: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def cell_table(width: int, height: int) -> tuple[Cell, ...]:
+    """The Cell at every flat index of a width x height board."""
+    return tuple(Cell(r, c) for r in range(height) for c in range(width))
+
+
 def neighbors(spec: BoardSpec, cell: Cell) -> set[Cell]:
     """The <=8 in-bounds orthogonal and diagonal neighbors of a cell."""
     if not spec.in_bounds(cell):
@@ -163,8 +169,8 @@ class GameState:
                 yield i, values[i]
 
     def covered_cells(self) -> list[Cell]:
-        spec = self.spec
-        return [spec.cell(i) for i in range(spec.cells) if not self.revealed[i]]
+        table = cell_table(self.spec.width, self.spec.height)
+        return [cell for cell, seen in zip(table, self.revealed) if not seen]
 
     def revealed_count(self) -> int:
         return self._revealed_count

@@ -3,13 +3,15 @@
 A group's tally records N(k), the number of satisfying assignments placing
 exactly k mines, and C(cell, k), the number of those in which a given cell
 is the mine. Groups are small (the reduction and decomposition stages keep
-them that way), so a pruned depth-first search is exact and fast. It is
-plain Python: exact-mode play never loads numpy.
+them that way), so a pruned depth-first search over boxes of cells with
+the same constraints is exact and fast. It is plain Python: exact-mode
+play never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from time import monotonic
 
 from .engine import Cell
@@ -25,6 +27,9 @@ MAX_NODES = 1 << 21
 # branch points between deadline and node-cap checks
 CHECK_EVERY_NODES = 4096
 
+# _BINOMIALS[s][j] = C(s, j): the ways to place j mines in a box of s cells
+_BINOMIALS = [[comb(s, j) for j in range(s + 1)] for s in range(EXACT_VAR_LIMIT + 1)]
+
 
 class GroupTooLargeError(ValueError):
     """Group exceeds the exact-enumeration threshold; sample it instead."""
@@ -38,15 +43,17 @@ class InconsistentGroupError(ValueError):
 class GroupTally:
     """Satisfying-assignment counts for one group.
 
-    counts[k] is N(k); cell_counts[(cell, k)] is C(cell, k). Exact tallies
-    hold integers; sampled tallies hold importance weights (floats) that
-    estimate the same quantities up to one common scale factor.
+    counts[k] is N(k); cell_counts[i][k] is C(cells[i], k) for k up to
+    max(counts), one row per cell (cells of one box may share a row).
+    Exact tallies hold integers; sampled tallies hold importance weights
+    (floats) that estimate the same quantities up to one common scale
+    factor.
     """
 
     group_id: int
     cells: tuple[Cell, ...]
     counts: dict[int, float]
-    cell_counts: dict[tuple[Cell, int], float]
+    cell_counts: list[list[float]]
     exact: bool
     samples_used: int = 0
     nodes_visited: int = 0
@@ -58,36 +65,29 @@ class GroupTally:
         """Per-cell mine probability within the group, ignoring any global
         mine-budget coupling."""
         total = self.total()
-        return {
-            cell: sum(self.cell_counts.get((cell, k), 0) for k in self.counts) / total
-            for cell in self.cells
-        }
+        return {cell: sum(row) / total
+                for cell, row in zip(self.cells, self.cell_counts)}
 
     def expected_mines(self) -> float:
         total = self.total()
         return sum(k * n for k, n in self.counts.items()) / total
 
 
-def _static_order(group: Group) -> list[Cell]:
-    # most-constrained variable first; ties broken by cell order
-    degree: dict[Cell, int] = {cell: 0 for cell in group.vars}
-    for constraint in group.constraints:
-        for cell in constraint.vars:
-            degree[cell] += 1
-    return sorted(group.vars, key=lambda cell: (-degree[cell], cell))
-
-
 def enumerate_group(group: Group, group_id: int = 0,
                     deadline: float | None = None) -> GroupTally:
     """Count every satisfying assignment of the group exactly.
 
-    Variables are assigned depth-first in `_static_order`; a branch
-    survives only while each constraint's running sum can still reach its
-    rhs. nodes_visited counts terminal states (dead ends plus solutions),
-    which never exceeds 2^n. `deadline` is an optional time.monotonic()
-    cutoff, checked on entry and every CHECK_EVERY_NODES branch points;
-    passing it, or MAX_NODES branch points, raises GroupTooLargeError so
-    the caller can sample.
+    Cells that belong to exactly the same constraints form a box. Boxes
+    are assigned depth-first, most-constrained first, each taking j mines
+    at once with weight C(size, j); a branch survives only while each
+    constraint's running sum can still reach its rhs. A cell's count is
+    its box's weighted mine total divided by the box size, which is exact
+    because C(s, j) * j / s = C(s - 1, j - 1). nodes_visited counts
+    terminal states (dead ends plus box-level leaves, each standing for
+    one or more solutions), which never exceeds 2^n. `deadline` is an
+    optional time.monotonic() cutoff, checked on entry and every
+    CHECK_EVERY_NODES branch points; passing it, or MAX_NODES branch
+    points, raises GroupTooLargeError so the caller can sample.
     """
     n = len(group.vars)
     if n == 0:
@@ -98,41 +98,50 @@ def enumerate_group(group: Group, group_id: int = 0,
         raise GroupTooLargeError("exact enumeration ran past its deadline")
     max_nodes = MAX_NODES
 
-    order = _static_order(group)
-    pos = {cell: i for i, cell in enumerate(order)}
-    members: list[list[int]] = [[] for _ in range(n)]
-    unassigned = []
-    for ci, constraint in enumerate(group.constraints):
+    # a cell's constraint indices; cells with equal indices form a box
+    constraints = group.constraints
+    member = {cell: [] for cell in group.vars}
+    for ci, constraint in enumerate(constraints):
         for cell in constraint.vars:
-            members[pos[cell]].append(ci)
-        unassigned.append(len(constraint.vars))
-    # checks[step]: (constraint, rhs, least sum that keeps rhs reachable
-    # once this step's variable is assigned) for each member constraint
-    checks: list[list[tuple[int, int, int]]] = []
-    for step in range(n):
-        row = []
-        for ci in members[step]:
-            unassigned[ci] -= 1
-            rhs = group.constraints[ci].rhs
-            row.append((ci, rhs, rhs - unassigned[ci]))
-        checks.append(row)
+            member[cell].append(ci)
+    cells = tuple(sorted(group.vars))
+    boxes: dict[tuple[int, ...], list[Cell]] = {}
+    for cell in cells:
+        member[cell] = key = tuple(member[cell])
+        boxes.setdefault(key, []).append(cell)
+    # most-constrained first; the sort is stable, so ties keep cell order
+    order = sorted(boxes, key=len, reverse=True)
 
-    sums = [0] * len(group.constraints)
-    mines: list[int] = []  # steps currently assigned 1
+    unassigned = [len(constraint.vars) for constraint in constraints]
+    # plan[step]: the box's (constraint, rhs, least sum that keeps rhs
+    # reachable once the box is assigned) checks, its constraints, its
+    # totals (sum over leaves with k mines of weight * mines in the box),
+    # its binomials and its size
+    plan = []
+    for key in order:
+        size = len(boxes[key])
+        check = []
+        for ci in key:
+            unassigned[ci] -= size
+            rhs = constraints[ci].rhs
+            check.append((ci, rhs, rhs - unassigned[ci]))
+        plan.append((check, key, [0] * (n + 1), _BINOMIALS[size], size))
+
+    nb = len(order)
+    sums = [0] * len(constraints)
     counts = [0] * (n + 1)
-    per_cell = [[0] * (n + 1) for _ in range(n)]
-    dead_ends = 0
-    nodes = 0
+    held: list[tuple[list[int], int]] = []  # (totals, j) per box given j > 0 mines
+    dead_ends = leaves = nodes = 0
 
-    def visit(step: int) -> None:
-        nonlocal dead_ends, nodes
-        if step == n:
-            # every constraint ended with no unassigned variables and a
+    def visit(step: int, weight: int, k: int) -> None:
+        nonlocal dead_ends, leaves, nodes
+        if step == nb:
+            # every constraint ended with no unassigned cells and a
             # reachable rhs, hence sum == rhs
-            k = len(mines)
-            counts[k] += 1
-            for i in mines:
-                per_cell[i][k] += 1
+            leaves += 1
+            counts[k] += weight
+            for totals, j in held:
+                totals[k] += weight * j
             return
         nodes += 1
         if nodes % CHECK_EVERY_NODES == 0:
@@ -140,41 +149,45 @@ def enumerate_group(group: Group, group_id: int = 0,
                 raise GroupTooLargeError(f"search exceeded {max_nodes} nodes")
             if deadline is not None and monotonic() > deadline:
                 raise GroupTooLargeError("exact enumeration ran past its deadline")
-        check = checks[step]
-        # value 1 needs sum+1 <= rhs; value 0 needs rhs still reachable
-        can0 = can1 = True
+        check, cis, totals, binom, hi = plan[step]
+        lo = 0
         for ci, rhs, least in check:
             s = sums[ci]
-            if s >= rhs:
-                can1 = False
-            if s < least:
-                can0 = False
-        if can0:
-            visit(step + 1)
-        if can1:
-            for ci, _, _ in check:
-                sums[ci] += 1
-            mines.append(step)
-            visit(step + 1)
-            mines.pop()
-            for ci, _, _ in check:
-                sums[ci] -= 1
-        if not (can0 or can1):
+            if s + hi > rhs:
+                hi = rhs - s
+            if s + lo < least:
+                lo = least - s
+        if lo > hi:
             dead_ends += 1
+            return
+        if lo == 0:
+            visit(step + 1, weight, k)
+            lo = 1
+        for j in range(lo, hi + 1):
+            for ci in cis:
+                sums[ci] += j
+            held.append((totals, j))
+            visit(step + 1, weight * binom[j], k + j)
+            held.pop()
+            for ci in cis:
+                sums[ci] -= j
 
-    visit(0)
+    visit(0, 1, 0)
     ks = [k for k in range(n + 1) if counts[k]]
     if not ks:
         raise InconsistentGroupError(
             f"group over {n} cells has no satisfying assignment"
         )
+    top = ks[-1] + 1
+    rows = {
+        key: totals[:top] if size == 1 else [x // size for x in totals[:top]]
+        for key, (_, _, totals, _, size) in zip(order, plan)
+    }
     return GroupTally(
         group_id=group_id,
-        cells=tuple(sorted(group.vars)),
+        cells=cells,
         counts={k: counts[k] for k in ks},
-        cell_counts={
-            (cell, k): per_cell[i][k] for k in ks for i, cell in enumerate(order)
-        },
+        cell_counts=[rows[member[cell]] for cell in cells],
         exact=True,
-        nodes_visited=dead_ends + sum(counts),
+        nodes_visited=dead_ends + leaves,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from hashlib import blake2b
+from operator import itemgetter
 from time import monotonic
 from typing import Mapping, Optional, Union
 
@@ -159,7 +160,7 @@ def derive_seed(*parts: int) -> int:
 
 def argmin_cell(probs: Mapping[Cell, float]) -> tuple[Cell, float]:
     """Lowest-probability cell; ties go to the lowest row-major index."""
-    cell, prob = min(probs.items(), key=lambda kv: (kv[1], kv[0]))
+    cell, prob = min(probs.items(), key=itemgetter(1, 0))
     return cell, prob
 
 
@@ -230,9 +231,10 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         return done(MoveKind.REVEAL_SAFE, _queue_safe(state, safe), 0.0, "logic")
 
     remaining = spec.mine_count - len(found_mines)
-    covered = [c for c in state.covered_cells() if c not in reduced.known]
-    group_cells = reduced.variables()
-    sea = [c for c in covered if c not in group_cells]
+    # covered cells that are neither assigned nor in any group
+    placed = reduced.variables()
+    placed.update(reduced.known)
+    sea = [c for c in state.covered_cells() if c not in placed]
 
     probs: Optional[Mapping[Cell, float]] = None
     depth = "fallback"

@@ -81,10 +81,7 @@ def sample_group(group: Group,
         group_id=group_id,
         cells=cells,
         counts={k: float(counts[k]) for k in ks_present},
-        cell_counts={
-            (cell, k): float(cell_counts[i, k])
-            for k in ks_present for i, cell in enumerate(cells)
-        },
+        cell_counts=cell_counts[:, :ks_present[-1] + 1].tolist(),
         exact=False,
         samples_used=draws_done,
     )

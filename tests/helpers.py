@@ -32,6 +32,12 @@ def system(*constraints: Constraint) -> ConstraintSystem:
     return ConstraintSystem(frozenset(constraints), {})
 
 
+def tally_dict(tally) -> dict[tuple[Cell, int], float]:
+    """A tally's per-cell counts keyed by (cell, k), for every k its rows hold."""
+    return {(cell, k): x for cell, row in zip(tally.cells, tally.cell_counts)
+            for k, x in enumerate(row)}
+
+
 def brute_force_solutions(constraints, variables) -> list[dict[Cell, int]]:
     """All satisfying 0/1 assignments, by trying every combination."""
     variables = sorted(variables)

@@ -1,11 +1,15 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minesolve.constraints import (
     MINE,
     SAFE,
     Constraint,
+    ConstraintSystem,
     ContradictionError,
     deductions,
     dump_system,
@@ -117,6 +121,51 @@ def test_reduce_preserves_solution_set():
             extended.append({v: full[v] for v in sorted(sys_.variables())})
         key = lambda a: tuple(sorted(a.items()))
         assert sorted(extended, key=key) == sorted(before, key=key)
+
+
+@st.composite
+def random_systems(draw):
+    """Up to 12 variables and 1-8 constraints. Each rhs is the sum of a
+    hidden assignment over the constraint's cells, or (sometimes) any
+    value in range, so unsatisfiable systems and duplicate constraints
+    that disagree occur too."""
+    n = draw(st.integers(1, 12))
+    variables = [Cell(0, i) for i in range(n)]
+    hidden = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    constraints = set()
+    for _ in range(draw(st.integers(1, 8))):
+        members = draw(st.sets(st.sampled_from(variables), min_size=1, max_size=min(n, 8)))
+        if draw(st.booleans()):
+            rhs = sum(hidden[v.col] for v in members)
+        else:
+            rhs = draw(st.integers(0, len(members)))
+        constraints.add(con(members, rhs))
+    return ConstraintSystem(frozenset(constraints), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_systems())
+def test_reduce_matches_brute_force_property(sys_):
+    variables = sorted(sys_.variables())
+    solutions = brute_force_solutions(sys_.constraints, variables)
+    try:
+        reduced = reduce_system(sys_)
+    except ContradictionError:
+        # reduction is incomplete, so a system it accepts may still have
+        # no solution; a system it rejects never has one
+        assert not solutions
+        return
+
+    def satisfies(assign):
+        return (all(assign[cell] == v for cell, v in reduced.known.items())
+                and all(sum(assign[v] for v in c.vars) == c.rhs
+                        for c in reduced.constraints))
+
+    assignments = (dict(zip(variables, bits))
+                   for bits in product((0, 1), repeat=len(variables)))
+    assert [a for a in assignments if satisfies(a)] == solutions
+    for cell, value in reduced.derived.items():
+        assert all(s[cell] == value for s in solutions)
 
 
 def test_reduce_is_idempotent():

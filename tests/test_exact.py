@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import product
@@ -16,7 +17,7 @@ from minesolve.exact import (
 )
 from minesolve.grouping import Group, partition
 
-from helpers import A, B, C, cells, con, random_connected_group, system
+from helpers import A, B, C, cells, con, random_connected_group, system, tally_dict
 
 
 def naive_tally(group):
@@ -44,15 +45,16 @@ def group_of(*constraints) -> Group:
 def test_pair_group():
     tally = enumerate_group(group_of(con([A, B], 1)))
     assert tally.counts == {1: 2}
-    assert tally.cell_counts[(A, 1)] == 1
-    assert tally.cell_counts[(B, 1)] == 1
+    per_cell = tally_dict(tally)
+    assert per_cell[(A, 1)] == 1
+    assert per_cell[(B, 1)] == 1
     assert tally.exact
 
 
 def test_triple_choose_two():
     tally = enumerate_group(group_of(con([A, B, C], 2)))
     assert tally.counts == {2: 3}
-    assert all(tally.cell_counts[(v, 2)] == 2 for v in (A, B, C))
+    assert all(tally_dict(tally)[(v, 2)] == 2 for v in (A, B, C))
 
 
 ONE_TWO_ONE = (con([A, B], 1), con([A, B, C], 2), con([B, C], 1))
@@ -64,10 +66,11 @@ def test_one_two_one_group():
 
     tally = enumerate_group(group_of(*ONE_TWO_ONE))
     assert tally.counts == expected_counts
-    assert tally.cell_counts[(A, 2)] == 1
-    assert tally.cell_counts[(C, 2)] == 1
-    assert tally.cell_counts[(B, 2)] == 0
-    assert {k: v for k, v in tally.cell_counts.items() if v} == {
+    per_cell = tally_dict(tally)
+    assert per_cell[(A, 2)] == 1
+    assert per_cell[(C, 2)] == 1
+    assert per_cell[(B, 2)] == 0
+    assert {k: v for k, v in per_cell.items() if v} == {
         k: v for k, v in expected_cells.items() if v
     }
 
@@ -84,7 +87,7 @@ def test_matches_naive_enumeration_on_random_groups():
         counts, cell_counts = naive_tally(group)
         tally = enumerate_group(group)
         assert tally.counts == counts
-        assert {k: v for k, v in tally.cell_counts.items() if v} == cell_counts
+        assert {k: v for k, v in tally_dict(tally).items() if v} == cell_counts
 
 
 def test_tally_invariants():
@@ -94,7 +97,7 @@ def test_tally_invariants():
         tally = enumerate_group(group)
         assert sum(tally.counts.values()) >= 1
         for k, n in tally.counts.items():
-            per_cell = [tally.cell_counts[(v, k)] for v in tally.cells]
+            per_cell = [row[k] for row in tally.cell_counts]
             assert all(0 <= c <= n for c in per_cell)
             assert sum(per_cell) == k * n
 
@@ -171,16 +174,44 @@ def test_matches_brute_force_property(group):
         return
     tally = enumerate_group(group)
     assert tally.counts == counts
-    assert {k: v for k, v in tally.cell_counts.items() if v} == cell_counts
-    assert set(tally.cell_counts) == {(v, k) for v in group.vars for k in counts}
+    per_cell = tally_dict(tally)
+    assert {k: v for k, v in per_cell.items() if v} == cell_counts
+    assert set(per_cell) == {(v, k) for v in group.vars for k in range(max(counts) + 1)}
     assert tally.nodes_visited <= 2 ** len(group.vars)
 
 
 def loose_group() -> Group:
-    """22 cells under three overlapping 8-cell clues: ~49k solutions."""
+    """22 cells under three overlapping 8-cell clues: 49,196 solutions."""
     row = [Cell(0, i) for i in range(22)]
     constraints = (con(row[0:8], 3), con(row[7:15], 3), con(row[14:22], 3))
     return Group(constraints=constraints, vars=tuple(row))
+
+
+def scattered_group() -> Group:
+    """22 cells under 8 seeded clues of 6-12 cells, no two cells in the
+    same clues: every box is one cell, and the search needs ~10k nodes."""
+    rng = random.Random(1365)
+    row = [Cell(0, i) for i in range(22)]
+    clues = [rng.sample(row, rng.randint(6, 12)) for _ in range(8)]
+    return Group(constraints=tuple(con(c, len(c) // 2) for c in clues), vars=tuple(row))
+
+
+def test_loose_group_counted_by_boxes():
+    # boxes of 7, 1, 6, 1 and 7 cells; b and d are the mines on the two
+    # cells shared by neighbouring clues
+    group = loose_group()
+    r1, r2, r3 = (c.rhs for c in group.constraints)
+    expected = {}
+    for b, d in product((0, 1), repeat=2):
+        k = r1 + r2 + r3 - b - d
+        expected[k] = expected.get(k, 0) + (
+            math.comb(7, r1 - b) * math.comb(6, r2 - b - d) * math.comb(7, r3 - d))
+    assert sum(expected.values()) == 49_196
+    tally = enumerate_group(group)
+    assert tally.counts == expected
+    for k, n in expected.items():
+        assert sum(row[k] for row in tally.cell_counts) == k * n
+    assert tally.nodes_visited < 100
 
 
 def test_past_deadline_raises():
@@ -190,7 +221,15 @@ def test_past_deadline_raises():
 
 
 def test_node_cap_raises(monkeypatch):
-    group = loose_group()
+    # with one-cell boxes the search branches at most two ways, so it
+    # passes at least nodes_visited - 1 branch points: more than
+    # 2 * CHECK_EVERY_NODES reaches the second check, past MAX_NODES
+    group = scattered_group()
+    memberships = {
+        frozenset(i for i, c in enumerate(group.constraints) if cell in c.vars)
+        for cell in group.vars
+    }
+    assert len(memberships) == len(group.vars)
     assert enumerate_group(group).nodes_visited > 2 * exact.CHECK_EVERY_NODES
     monkeypatch.setattr(exact, "MAX_NODES", exact.CHECK_EVERY_NODES)
     start = time.monotonic()
