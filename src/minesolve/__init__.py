@@ -13,7 +13,6 @@ from .constraints import (
     deductions,
     extract_constraints,
     reduce_system,
-    subtract,
 )
 from .engine import (
     BoardConfigError,

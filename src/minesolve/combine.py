@@ -1,5 +1,8 @@
 """Fuse per-group tallies with the global mine budget into cell probabilities.
 
+This is the one fusion path: every guess built from counted or sampled
+tallies goes through `combine`, in `full` and in `exact` mode alike.
+
 Groups are variable-disjoint, so a joint assignment is a choice of one
 satisfying assignment per group plus a placement of the leftover mines in
 the unconstrained "sea". Writing k_g for the mines a group receives, each
@@ -11,7 +14,9 @@ which is zero whenever the leftover is negative or exceeds the sea - that
 zeroing is what rules out impossible per-group mine counts. Cell marginals
 under these weights come from prefix and suffix convolutions of the
 groups' mine-count lists rather than from enumerating vectors; the two
-agree exactly, and the explicit enumerator is kept as a cross-check.
+agree exactly, and the explicit enumerator is kept as a cross-check. Every
+sea cell has the same posterior, so the sea is one size in and one
+probability out.
 
 When every tally is exact the weights are Python integers and each
 posterior is one integer division, so it is correctly rounded and equal
@@ -39,15 +44,17 @@ class CombineInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class BoardContext:
-    """remaining_mines is the total minus mines already known; unconstrained
-    cells are covered, unassigned, and in no group."""
+    """remaining_mines is the total minus mines already known; sea_size
+    counts the covered cells that are unassigned and in no group."""
 
     remaining_mines: int
-    unconstrained: frozenset[Cell]
+    sea_size: int
 
     def __post_init__(self) -> None:
         if self.remaining_mines < 0:
             raise ValueError("remaining_mines must be >= 0")
+        if self.sea_size < 0:
+            raise ValueError("sea_size must be >= 0")
 
 
 def _conv(a: list, b: list, n: int) -> list:
@@ -66,27 +73,27 @@ def _coef(a: list, b: list, t: int):
                for i in range(max(0, t - len(b) + 1), min(len(a), t + 1)))
 
 
-def _check_disjoint(tallies: Sequence[GroupTally], ctx: BoardContext) -> None:
+def _check_disjoint(tallies: Sequence[GroupTally]) -> None:
     seen: set[Cell] = set()
     for tally in tallies:
         overlap = seen.intersection(tally.cells)
         if overlap:
             raise ValueError(f"groups share cells: {sorted(overlap)}")
         seen.update(tally.cells)
-    overlap = seen & ctx.unconstrained
-    if overlap:
-        raise ValueError(f"sea cells overlap group cells: {sorted(overlap)}")
 
 
-def combine(tallies: Sequence[GroupTally], ctx: BoardContext) -> dict[Cell, float]:
-    """Posterior mine probability for every covered, unassigned cell, from
-    group tallies plus the mine budget.
+def combine(tallies: Sequence[GroupTally],
+            ctx: BoardContext) -> tuple[dict[Cell, float], float]:
+    """(probs, sea_prob): the posterior mine probability of every group
+    cell, and the one posterior shared by every sea cell (0.0 when the sea
+    is empty), from group tallies plus the mine budget.
 
-    The result is the exact posterior under the joint weights above; total
-    probability equals remaining_mines.
+    These are the exact posteriors under the joint weights above; the
+    group cells' probabilities plus sea_size * sea_prob sum to
+    remaining_mines.
     """
-    _check_disjoint(tallies, ctx)
-    m, u = ctx.remaining_mines, len(ctx.unconstrained)
+    _check_disjoint(tallies)
+    m, u = ctx.remaining_mines, ctx.sea_size
     weights = [
         [tally.counts.get(k, 0) for k in range(min(max(tally.counts), m) + 1)]
         for tally in tallies
@@ -129,24 +136,22 @@ def combine(tallies: Sequence[GroupTally], ctx: BoardContext) -> dict[Cell, floa
         for cell, row in zip(tally.cells, tally.cell_counts):
             probs[cell] = sum(row[k] * x for k, x in kw) / denom
 
-    if u:
-        sea_mines = [(lo + i) * x for i, x in enumerate(sea)]
-        probs.update(dict.fromkeys(
-            ctx.unconstrained, _coef(sea_mines, suffix[0], hi) / (w_total * u)
-        ))
-    return probs
+    if not u:
+        return probs, 0.0
+    sea_mines = [(lo + i) * x for i, x in enumerate(sea)]
+    return probs, _coef(sea_mines, suffix[0], hi) / (w_total * u)
 
 
 def combine_by_enumeration(tallies: Sequence[GroupTally],
-                           ctx: BoardContext) -> dict[Cell, float]:
+                           ctx: BoardContext) -> tuple[dict[Cell, float], float]:
     """Reference implementation: enumerate every mine-count vector.
 
     Exponential in the number of groups; retained as the oracle the
     convolution path is checked against. Exact tallies are combined in
     integer/rational arithmetic.
     """
-    _check_disjoint(tallies, ctx)
-    m, u = ctx.remaining_mines, len(ctx.unconstrained)
+    _check_disjoint(tallies)
+    m, u = ctx.remaining_mines, ctx.sea_size
     all_exact = all(t.exact for t in tallies)
 
     w_total = 0
@@ -184,19 +189,4 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
         return a / (w_total * scale)
 
     probs = {cell: ratio(v) for cell, v in numer.items()}
-    if u:
-        sea_p = ratio(sea_numer, u)
-        for cell in ctx.unconstrained:
-            probs[cell] = sea_p
-    return probs
-
-
-def format_grid(probs: dict[Cell, float], width: int, height: int) -> str:
-    """Fixed-point grid dump (4 decimals; '------' where no entry)."""
-    rows = []
-    for r in range(height):
-        rows.append(" ".join(
-            f"{probs[Cell(r, c)]:.4f}" if Cell(r, c) in probs else "------"
-            for c in range(width)
-        ))
-    return "\n".join(rows)
+    return probs, ratio(sea_numer, u) if u else 0.0

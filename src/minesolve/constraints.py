@@ -111,14 +111,6 @@ def extract_constraints(state: GameState,
     return ConstraintSystem(frozenset(constraints), known)
 
 
-def subtract(longer: Constraint, shorter: Constraint) -> Optional[Constraint]:
-    """Difference constraint when shorter's variables nest strictly inside
-    longer's; None otherwise."""
-    if not shorter.vars < longer.vars:
-        return None
-    return Constraint(longer.vars - shorter.vars, longer.rhs - shorter.rhs)
-
-
 def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
     """Rewrite to a fixpoint of subtraction, unit propagation, substitution
     and duplicate merging. Raises ContradictionError on conflict."""
@@ -233,12 +225,3 @@ def deductions(system: ConstraintSystem) -> tuple[set[Cell], set[Cell]]:
     safe = {c for c, v in system.derived.items() if v == SAFE}
     mines = {c for c, v in system.derived.items() if v == MINE}
     return safe, mines
-
-
-def dump_system(system: ConstraintSystem) -> str:
-    """Debug form, one 'r,c r,c ... = rhs' line per constraint."""
-    lines = []
-    for c in sorted(system.constraints, key=Constraint.sort_key):
-        cells = " ".join(f"{cell.row},{cell.col}" for cell in sorted(c.vars))
-        lines.append(f"{cells} = {c.rhs}")
-    return "\n".join(lines)

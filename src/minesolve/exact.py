@@ -50,7 +50,6 @@ class GroupTally:
     factor.
     """
 
-    group_id: int
     cells: tuple[Cell, ...]
     counts: dict[int, float]
     cell_counts: list[list[float]]
@@ -68,13 +67,8 @@ class GroupTally:
         return {cell: sum(row) / total
                 for cell, row in zip(self.cells, self.cell_counts)}
 
-    def expected_mines(self) -> float:
-        total = self.total()
-        return sum(k * n for k, n in self.counts.items()) / total
 
-
-def enumerate_group(group: Group, group_id: int = 0,
-                    deadline: float | None = None) -> GroupTally:
+def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     """Count every satisfying assignment of the group exactly.
 
     Cells that belong to exactly the same constraints form a box. Boxes
@@ -184,7 +178,6 @@ def enumerate_group(group: Group, group_id: int = 0,
         for key, (_, _, totals, _, size) in zip(order, plan)
     }
     return GroupTally(
-        group_id=group_id,
         cells=cells,
         counts={k: counts[k] for k in ks},
         cell_counts=[rows[member[cell]] for cell in cells],

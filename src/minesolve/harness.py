@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .engine import BoardSpec, difficulty_spec
-from .policy import GameRecord, SolverConfig, play_game
+from .policy import MODES, GameRecord, SolverConfig, play_game
 
 _MIN_GAMES_FOR_POOL = 32
 
@@ -85,7 +85,7 @@ REPORT_SCHEMA = {
                 "first_click_safe": {"type": "boolean"},
             },
         },
-        "mode": {"enum": ["full", "exact", "logic"]},
+        "mode": {"enum": list(MODES)},
         "games": {"type": "integer", "minimum": 1},
         "wins": {"type": "integer", "minimum": 0},
         "win_rate": {"type": "number", "minimum": 0, "maximum": 1},

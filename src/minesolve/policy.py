@@ -5,10 +5,13 @@ them, and reveal a forced-safe cell if one exists. A reduction usually
 proves several cells safe at once; the smallest is returned and the rest
 are queued against the game, so later calls on the same game reveal them
 without solving again. Only when logic is stuck does the probabilistic
-stage run - exact tallies for small groups, sampling for oversized ones
-with whatever time is left - and the move is the minimum-probability
-covered cell. If no probability map can be built in time, a cheap
-per-constraint estimate picks the guess instead.
+stage run: exact tallies for small groups and sampling for oversized
+ones with whatever time is left, all fused with the mine budget by
+`combine`. The move is the minimum-probability covered cell. If no
+probability map can be built in time, a cheap per-constraint estimate
+picks the guess instead. The modes truncate this pipeline: `exact` is
+`full` without the sampler, so a guess with an oversized group takes the
+estimate, and `logic` always takes it.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .engine import (
     GameState,
     GameStatus,
     InvalidMoveError,
+    cell_table,
     new_board,
     reveal,
 )
-from .exact import GroupTooLargeError, InconsistentGroupError, enumerate_group
+from .exact import GroupTooLargeError, enumerate_group
 from .grouping import Group, partition
 from .sampling import SamplingStarvedError, sample_group
 
@@ -183,10 +187,11 @@ def _opening_cell(spec: BoardSpec, config: SolverConfig) -> Cell:
     return cell
 
 
-def _heuristic_probs(system: ConstraintSystem, sea: list[Cell],
-                     remaining_mines: int) -> dict[Cell, float]:
-    """Per-cell estimate without counting: mean rhs/|vars| over the
-    constraints containing the cell; sea cells get the uniform share."""
+def _heuristic_probs(system: ConstraintSystem, sea_size: int,
+                     remaining_mines: int) -> tuple[dict[Cell, float], float]:
+    """(probs, sea_prob) estimated without counting: a group cell gets the
+    mean rhs/|vars| over the constraints containing it, and every sea cell
+    the uniform share of the remaining mines."""
     sums: dict[Cell, float] = {}
     hits: dict[Cell, int] = {}
     for constraint in system.constraints:
@@ -195,11 +200,9 @@ def _heuristic_probs(system: ConstraintSystem, sea: list[Cell],
             sums[cell] = sums.get(cell, 0.0) + density
             hits[cell] = hits.get(cell, 0) + 1
     probs = {cell: sums[cell] / hits[cell] for cell in sums}
-    if sea:
-        share = min(1.0, max(0.0, remaining_mines / len(sea)))
-        for cell in sea:
-            probs[cell] = share
-    return probs
+    if not sea_size:
+        return probs, 0.0
+    return probs, min(1.0, max(0.0, remaining_mines / sea_size))
 
 
 def next_move(state: GameState, budget_ms: Optional[float] = None,
@@ -231,62 +234,53 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         return done(MoveKind.REVEAL_SAFE, _queue_safe(state, safe), 0.0, "logic")
 
     remaining = spec.mine_count - len(found_mines)
-    # covered cells that are neither assigned nor in any group
+    # the sea: covered cells that are neither assigned nor in any group
     placed = reduced.variables()
     placed.update(reduced.known)
-    sea = [c for c in state.covered_cells() if c not in placed]
+    sea_size = spec.cells - state.revealed_count() - len(placed)
 
-    probs: Optional[Mapping[Cell, float]] = None
+    fused: Optional[tuple[dict[Cell, float], float]] = None
     depth = "fallback"
     if config.mode != "logic":
-        probs, depth = _probability_map(
-            reduced, sea, remaining, config.mode,
+        fused, depth = _probability_map(
+            reduced, sea_size, remaining, config.mode,
             deadline=t0 + budget_s - min(_BUDGET_RESERVE_S, budget_s / 4),
             view_seed=_view_seed(state),
         )
-    if probs is None:
-        probs = _heuristic_probs(reduced, sea, remaining)
+    if fused is None:
+        fused = _heuristic_probs(reduced, sea_size, remaining)
+    probs, sea_prob = fused
+    if sea_size:
+        # every sea cell shares sea_prob, so only the lowest row-major one
+        # can win the argmin's tie rule
+        table = cell_table(spec.width, spec.height)
+        sea_cell = next(c for c, seen in zip(table, state.revealed)
+                        if not seen and c not in placed)
+        probs[sea_cell] = sea_prob
     cell, prob = argmin_cell(probs)
     return done(MoveKind.GUESS, cell, prob, depth)
 
 
-def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
+def _probability_map(reduced: ConstraintSystem, sea_size: int,
                      remaining_mines: int, mode: str,
                      deadline: float, view_seed: int,
-                     ) -> tuple[Optional[Mapping[Cell, float]], str]:
-    """Tally every group and fuse. Returns (probs, depth), with probs None
-    when the budget ran out before a usable map existed.
+                     ) -> tuple[Optional[tuple[dict[Cell, float], float]], str]:
+    """Tally every group and fuse the tallies with the mine budget through
+    `combine`. Returns ((probs, sea_prob), depth), or (None, "fallback")
+    when no usable map exists.
 
-    `full` mode samples the groups too large to count and couples all
-    groups through the mine budget (`combine`). `exact` mode takes each
-    counted group's own marginals, estimates oversized groups with the
-    density heuristic, and spreads the expected leftover mines uniformly
-    over the sea."""
+    `full` mode samples the groups too large to count with whatever time
+    is left. `exact` mode is `full` without the sampler: an oversized
+    group leaves it without a map."""
     tallies = []
     oversized: list[tuple[int, Group]] = []
     for idx, group in enumerate(partition(reduced)):
         try:
-            tallies.append(enumerate_group(group, idx, deadline=deadline))
+            tallies.append(enumerate_group(group, deadline=deadline))
         except GroupTooLargeError:
+            if mode == "exact":
+                return None, "fallback"
             oversized.append((idx, group))
-
-    if mode == "exact":
-        probs: dict[Cell, float] = {}
-        expected = 0.0
-        for tally in tallies:
-            probs.update(tally.marginals())
-            expected += tally.expected_mines()
-        for _, group in oversized:
-            partial = _heuristic_probs(
-                ConstraintSystem(frozenset(group.constraints), {}), [], 0
-            )
-            expected += sum(partial.values())
-            probs.update(partial)
-        if sea:
-            share = min(1.0, max(0.0, (remaining_mines - expected) / len(sea)))
-            for cell in sea:
-                probs[cell] = share
-        return probs, "fallback" if oversized else "exact"
 
     for n_left, (idx, group) in enumerate(oversized):
         share = (deadline - monotonic()) / (len(oversized) - n_left)
@@ -295,15 +289,15 @@ def _probability_map(reduced: ConstraintSystem, sea: list[Cell],
         try:
             tallies.append(sample_group(
                 group, deadline=monotonic() + share,
-                rng=derive_seed(view_seed, idx), group_id=idx,
+                rng=derive_seed(view_seed, idx),
             ))
         except SamplingStarvedError:
             return None, "fallback"
     try:
-        probs = combine(tallies, BoardContext(remaining_mines, frozenset(sea)))
-    except (CombineInfeasibleError, InconsistentGroupError):
+        fused = combine(tallies, BoardContext(remaining_mines, sea_size))
+    except CombineInfeasibleError:
         return None, "fallback"
-    return probs, "sampled" if oversized else "exact"
+    return fused, "sampled" if oversized else "exact"
 
 
 def play_game(spec: BoardSpec, config: Optional[SolverConfig] = None,

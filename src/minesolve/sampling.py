@@ -33,8 +33,7 @@ class SamplingStarvedError(RuntimeError):
 def sample_group(group: Group,
                  max_samples: int = MAX_SAMPLES_DEFAULT,
                  deadline: Optional[float] = None,
-                 rng: Union[np.random.Generator, int, None] = None,
-                 group_id: int = 0) -> GroupTally:
+                 rng: Union[np.random.Generator, int, None] = None) -> GroupTally:
     """Estimate a group's tally from up to max_samples candidate draws.
 
     `deadline` is an optional time.monotonic() cutoff; sampling stops at
@@ -78,7 +77,6 @@ def sample_group(group: Group,
         )
     ks_present = [int(k) for k in np.flatnonzero(counts)]
     return GroupTally(
-        group_id=group_id,
         cells=cells,
         counts={k: float(counts[k]) for k in ks_present},
         cell_counts=cell_counts[:, :ks_present[-1] + 1].tolist(),

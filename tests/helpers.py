@@ -123,9 +123,10 @@ def pipeline_probability_map(state: GameState) -> PipelineResult:
     remaining = state.spec.mine_count - found_mines
     covered = [c for c in state.covered_cells() if c not in reduced.known]
     group_vars = reduced.variables()
-    sea = frozenset(c for c in covered if c not in group_vars)
-    tallies = [enumerate_group(g, i) for i, g in enumerate(partition(reduced))]
-    pmap = combine(tallies, BoardContext(remaining, sea))
+    sea = [c for c in covered if c not in group_vars]
+    tallies = [enumerate_group(g) for g in partition(reduced)]
+    pmap, sea_prob = combine(tallies, BoardContext(remaining, len(sea)))
+    pmap.update(dict.fromkeys(sea, sea_prob))
     probs = dict(pmap)
     for cell, value in reduced.known.items():
         probs[cell] = float(value)

@@ -9,7 +9,6 @@ from minesolve.combine import (
     CombineInfeasibleError,
     combine,
     combine_by_enumeration,
-    format_grid,
 )
 from minesolve.engine import Cell
 from minesolve.exact import enumerate_group
@@ -28,10 +27,8 @@ from helpers import (
 )
 
 
-def tally_of(*constraints, variables, group_id=0):
-    return enumerate_group(
-        Group(constraints=tuple(constraints), vars=tuple(variables)), group_id
-    )
+def tally_of(*constraints, variables):
+    return enumerate_group(Group(constraints=tuple(constraints), vars=tuple(variables)))
 
 
 def brute_force_with_sea(group_cells, constraints, sea, total_mines):
@@ -48,7 +45,13 @@ def brute_force_with_sea(group_cells, constraints, sea, total_mines):
     return {c: hits[c] / placements for c in universe}
 
 
-SEA2 = frozenset(cells((5, 0), (5, 1)))
+def mass(fused, sea_size):
+    """Total probability: the group cells plus every sea cell."""
+    probs, sea_prob = fused
+    return sum(probs.values()) + sea_size * sea_prob
+
+
+SEA2 = cells((5, 0), (5, 1))
 
 
 def test_one_group_with_sea_matches_direct_enumeration():
@@ -56,63 +59,65 @@ def test_one_group_with_sea_matches_direct_enumeration():
     expected = brute_force_with_sea([A, B], constraints, SEA2, 2)
     assert expected == {A: 0.5, B: 0.5, Cell(5, 0): 0.5, Cell(5, 1): 0.5}
 
-    pmap = combine([tally_of(*constraints, variables=(A, B))], BoardContext(2, SEA2))
+    fused = combine([tally_of(*constraints, variables=(A, B))], BoardContext(2, 2))
+    pmap, sea_prob = fused
+    assert set(pmap) == {A, B}
     for cell, want in expected.items():
-        assert pmap[cell] == pytest.approx(want, abs=1e-12)
-    assert sum(pmap.values()) == pytest.approx(2.0, abs=1e-9)
+        got = sea_prob if cell in SEA2 else pmap[cell]
+        assert got == pytest.approx(want, abs=1e-12)
+    assert mass(fused, 2) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_no_groups_uniform_sea():
-    sea = frozenset(cells((0, 0), (0, 1), (0, 2), (0, 3), (0, 4)))
-    pmap = combine([], BoardContext(2, sea))
-    assert all(p == pytest.approx(0.4, abs=1e-12) for p in pmap.values())
-    assert len(pmap) == 5
+    pmap, sea_prob = combine([], BoardContext(2, 5))
+    assert sea_prob == pytest.approx(0.4, abs=1e-12)
+    assert pmap == {}
 
 
 def test_single_triple_group_no_sea():
-    pmap = combine(
+    pmap, sea_prob = combine(
         [tally_of(con([A, B, C], 2), variables=(A, B, C))],
-        BoardContext(2, frozenset()),
+        BoardContext(2, 0),
     )
     assert all(pmap[c] == pytest.approx(2 / 3, abs=1e-12) for c in (A, B, C))
+    assert sea_prob == 0.0
 
 
 def test_two_groups_no_sea_product_weights():
     d, e, f = cells((2, 0), (2, 1), (2, 2))
-    t1 = tally_of(con([A, B], 1), variables=(A, B), group_id=0)
-    t2 = tally_of(con([d, e, f], 2), variables=(d, e, f), group_id=1)
+    t1 = tally_of(con([A, B], 1), variables=(A, B))
+    t2 = tally_of(con([d, e, f], 2), variables=(d, e, f))
     expected = brute_force_with_sea(
         [A, B, d, e, f],
         [con([A, B], 1), con([d, e, f], 2)],
-        frozenset(), 3,
+        [], 3,
     )
     assert expected[A] == 0.5 and expected[d] == pytest.approx(2 / 3)
 
-    pmap = combine([t1, t2], BoardContext(3, frozenset()))
+    pmap, _ = combine([t1, t2], BoardContext(3, 0))
     for cell, want in expected.items():
         assert pmap[cell] == pytest.approx(want, abs=1e-12)
 
 
 def test_impossible_mine_budget_raises():
     d, e, f = cells((2, 0), (2, 1), (2, 2))
-    t1 = tally_of(con([A, B], 1), variables=(A, B), group_id=0)
-    t2 = tally_of(con([d, e, f], 2), variables=(d, e, f), group_id=1)
+    t1 = tally_of(con([A, B], 1), variables=(A, B))
+    t2 = tally_of(con([d, e, f], 2), variables=(d, e, f))
     with pytest.raises(CombineInfeasibleError):
-        combine([t1, t2], BoardContext(1, frozenset()))
+        combine([t1, t2], BoardContext(1, 0))
     with pytest.raises(CombineInfeasibleError):
-        combine_by_enumeration([t1, t2], BoardContext(1, frozenset()))
+        combine_by_enumeration([t1, t2], BoardContext(1, 0))
 
 
 def test_vector_pruning_drops_infeasible_counts():
     # sea of 1: the pair group must take exactly enough mines that the
     # leftover fits, so k=0 for the pair is impossible with M=3
     d, e = cells((2, 0), (2, 1))
-    t1 = tally_of(con([A, B], 1), variables=(A, B), group_id=0)
-    t2 = tally_of(con([d, e], 1), variables=(d, e), group_id=1)
-    sea = frozenset(cells((5, 0),))
-    pmap = combine([t1, t2], BoardContext(3, sea))
-    assert pmap[Cell(5, 0)] == pytest.approx(1.0, abs=1e-12)
-    assert sum(pmap.values()) == pytest.approx(3.0, abs=1e-9)
+    t1 = tally_of(con([A, B], 1), variables=(A, B))
+    t2 = tally_of(con([d, e], 1), variables=(d, e))
+    fused = combine([t1, t2], BoardContext(3, 1))
+    assert fused[1] == pytest.approx(1.0, abs=1e-12)
+    assert mass(fused, 1) == pytest.approx(3.0, abs=1e-9)
 
 
 def random_tally_cases():
@@ -127,10 +132,10 @@ def random_tally_cases():
             vs = cells(*((g, used + i) for i in range(n)))
             used += n
             hidden = rng.randint(0, n)
-            tallies.append(tally_of(con(vs, hidden), variables=vs, group_id=g))
-        sea = frozenset(cells(*((9, i) for i in range(rng.randint(0, 6)))))
-        m = rng.randint(0, sum(max(t.counts) for t in tallies) + len(sea))
-        yield tallies, BoardContext(m, sea)
+            tallies.append(tally_of(con(vs, hidden), variables=vs))
+        sea_size = rng.randint(0, 6)
+        m = rng.randint(0, sum(max(t.counts) for t in tallies) + sea_size)
+        yield tallies, BoardContext(m, sea_size)
 
 
 def test_dp_equals_enumeration_on_random_tallies():
@@ -141,10 +146,11 @@ def test_dp_equals_enumeration_on_random_tallies():
             with pytest.raises(CombineInfeasibleError):
                 combine(tallies, ctx)
             continue
-        dp = combine(tallies, ctx)
-        assert set(dp) == set(direct)
+        dp, dp_sea = combine(tallies, ctx)
+        assert set(dp) == set(direct[0])
         for cell in dp:
-            assert dp[cell] == pytest.approx(direct[cell], abs=1e-12)
+            assert dp[cell] == pytest.approx(direct[0][cell], abs=1e-12)
+        assert dp_sea == pytest.approx(direct[1], abs=1e-12)
 
 
 def test_exact_tallies_match_enumeration_bit_for_bit():
@@ -166,12 +172,12 @@ def test_combine_accepts_sampled_tallies():
     group = random_connected_group(rng, 9, 4)
     sampled = sample_group(group, max_samples=1 << 14, rng=9)
     exact = enumerate_group(group)
-    sea = frozenset(cells((9, 0), (9, 1), (9, 2)))
-    ctx = BoardContext(max(exact.counts) + 1, sea)
-    approx = combine([sampled], ctx)
-    truth = combine([exact], ctx)
+    ctx = BoardContext(max(exact.counts) + 1, 3)
+    approx, approx_sea = combine([sampled], ctx)
+    truth, truth_sea = combine([exact], ctx)
     for cell in truth:
         assert approx[cell] == pytest.approx(truth[cell], abs=0.03)
+    assert approx_sea == pytest.approx(truth_sea, abs=0.03)
 
 
 def test_sampled_tally_on_hard_sized_board_stays_in_range():
@@ -181,20 +187,19 @@ def test_sampled_tally_on_hard_sized_board_stays_in_range():
     sampled = sample_group(
         Group(constraints=(con(wide[:30], 10), con(wide[28:], 10)),
               vars=tuple(wide)),
-        max_samples=1 << 12, rng=5, group_id=5,
+        max_samples=1 << 12, rng=5,
     )
     assert max(sampled.counts.values()) > 1e17
     tallies = []
     for g in range(5):
         vs = cells(*((g, i) for i in range(4)))
-        tallies.append(tally_of(con(vs[:3], 1), con(vs[1:], 2),
-                                variables=vs, group_id=g))
-    sea = frozenset(Cell(30 + i // 30, i % 30) for i in range(400))
-    pmap = combine(tallies + [sampled], BoardContext(90, sea))
-    assert len(pmap) == 5 * 4 + 58 + 400
-    for p in pmap.values():
+        tallies.append(tally_of(con(vs[:3], 1), con(vs[1:], 2), variables=vs))
+    fused = combine(tallies + [sampled], BoardContext(90, 400))
+    pmap, sea_prob = fused
+    assert len(pmap) == 5 * 4 + 58
+    for p in [*pmap.values(), sea_prob]:
         assert math.isfinite(p) and 0.0 <= p <= 1.0
-    assert sum(pmap.values()) == pytest.approx(90, abs=1e-9)
+    assert mass(fused, 400) == pytest.approx(90, abs=1e-9)
 
 
 def test_mass_conservation_on_game_positions():
@@ -219,31 +224,24 @@ def test_mass_conservation_on_game_positions():
 
 def test_marginals_stable_across_mine_budget_sweep():
     d, e, f = cells((2, 0), (2, 1), (2, 2))
-    t1 = tally_of(con([A, B], 1), variables=(A, B), group_id=0)
-    t2 = tally_of(con([d, e, f], 1), variables=(d, e, f), group_id=1)
-    sea = frozenset(cells(*((7, i) for i in range(10))))
+    t1 = tally_of(con([A, B], 1), variables=(A, B))
+    t2 = tally_of(con([d, e, f], 1), variables=(d, e, f))
     last = None
     for m in range(2, 12):
-        pmap = combine([t1, t2], BoardContext(m, sea))
-        for p in pmap.values():
+        fused = combine([t1, t2], BoardContext(m, 10))
+        pmap, sea_p = fused
+        for p in [*pmap.values(), sea_p]:
             assert 0.0 <= p <= 1.0 and not math.isnan(p)
-        assert sum(pmap.values()) == pytest.approx(m, abs=1e-9)
-        sea_p = pmap[Cell(7, 0)]
+        assert mass(fused, 10) == pytest.approx(m, abs=1e-9)
         if last is not None:
             assert sea_p >= last - 1e-12  # more mines, wetter sea
         last = sea_p
 
 
 def test_overlapping_groups_rejected():
-    t1 = tally_of(con([A, B], 1), variables=(A, B), group_id=0)
-    t2 = tally_of(con([B, C], 1), variables=(B, C), group_id=1)
+    t1 = tally_of(con([A, B], 1), variables=(A, B))
+    t2 = tally_of(con([B, C], 1), variables=(B, C))
     with pytest.raises(ValueError):
-        combine([t1, t2], BoardContext(2, frozenset()))
+        combine([t1, t2], BoardContext(2, 0))
     with pytest.raises(ValueError):
-        combine([t1], BoardContext(2, frozenset({A})))
-
-
-def test_format_grid_four_decimals():
-    probs = {Cell(0, 0): 0.5, Cell(0, 1): 1 / 3}
-    out = format_grid(probs, width=3, height=1)
-    assert out == "0.5000 0.3333 ------"
+        BoardContext(2, -1)

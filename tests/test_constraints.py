@@ -12,10 +12,8 @@ from minesolve.constraints import (
     ConstraintSystem,
     ContradictionError,
     deductions,
-    dump_system,
     extract_constraints,
     reduce_system,
-    subtract,
 )
 from minesolve.engine import BoardSpec, Cell, new_board, parse_board, reveal
 
@@ -25,7 +23,6 @@ from helpers import (
     C,
     ONE_TWO_ONE_TEXT,
     brute_force_solutions,
-    cells,
     con,
     random_consistent_system,
     random_position,
@@ -58,24 +55,6 @@ def test_extract_contradiction_on_inconsistent_input():
     state = parse_board("2 2 1\n*.\n..\n\n##\nRR\n")
     with pytest.raises(ContradictionError):
         extract_constraints(state, known={A: MINE, B: MINE})
-
-
-def test_subtract_nested():
-    assert subtract(con([A, B, C], 2), con([B, C], 1)) == con([A], 1)
-
-
-def test_subtract_equal_sets_not_applicable():
-    assert subtract(con([A, B], 1), con([A, B], 1)) is None
-    assert subtract(con([A, B], 1), con([A, C], 1)) is None
-
-
-def test_subtract_singleton():
-    assert subtract(con([A, B, C], 2), con([A], 1)) == con([B, C], 1)
-
-
-def test_subtract_conflicting_rhs_raises():
-    with pytest.raises(ContradictionError):
-        subtract(con([A, B, C], 0), con([B, C], 1))
 
 
 def test_reduce_one_two_one_resolves_everything():
@@ -224,11 +203,6 @@ def test_reduce_detects_forced_conflict():
     # A+B=2 forces both mines, then A+C=0 forces A safe
     with pytest.raises(ContradictionError):
         reduce_system(system(con([A, B], 2), con([A, C], 0)))
-
-
-def test_dump_format():
-    sys_ = system(con(cells((1, 2), (0, 3)), 1), con([A], 1))
-    assert dump_system(sys_) == "0,0 = 1\n0,3 1,2 = 1"
 
 
 def test_extraction_of_full_position_matches_visible_clues():

@@ -1,9 +1,12 @@
 """Pinned digests of every decision on fixed seeds.
 
 A change meant as a pure speed-up must leave each hash as it is. `exact`
-mode hashes each move's (kind, cell, depth, prob); `full` mode leaves the
-probability out, because a sampled guess's probability is a float estimate
-from numpy's generator, and hashes the moves themselves.
+mode is `full` without the sampler: every guess is either fused from
+exact counts by `combine` or, when a group is too large to count, taken
+from the density estimate. So its hash covers each move's (kind, cell,
+depth, prob). `full` mode leaves the probability out, because a sampled
+guess's probability is a float estimate from numpy's generator, and
+hashes the moves themselves.
 """
 
 from hashlib import blake2b
@@ -28,9 +31,9 @@ def decision_digest(preset: str, mode: str, seeds: range) -> str:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("preset, mode, seeds, pinned", [
-    ("simple", "exact", range(7000, 8000), "60c4779f17958b91"),
-    ("intermediate", "exact", range(7000, 7300), "1fd623fe12be2bdd"),
-    ("hard", "exact", range(7000, 7100), "5f9bff7e15e6b760"),
+    ("simple", "exact", range(7000, 8000), "6ec0032dee74689b"),
+    ("intermediate", "exact", range(7000, 7300), "2fc640e8c64649cc"),
+    ("hard", "exact", range(7000, 7100), "ad9d12b1ea3c01c3"),
     ("simple", "full", range(7000, 7200), "0a947bdaae28bc3b"),
 ])
 def test_decisions_match_pinned_digest(preset, mode, seeds, pinned):

@@ -5,7 +5,6 @@ import pytest
 from minesolve import exact, policy
 from minesolve.combine import BoardContext, combine
 from minesolve.constraints import (
-    ConstraintSystem,
     deductions,
     extract_constraints,
     reduce_system,
@@ -80,11 +79,11 @@ def test_guess_takes_cheaper_sea_over_frontier():
     tally = enumerate_group(
         Group(constraints=(con([A, B], 1),), vars=(A, B))
     )
-    sea = frozenset(cells(*((4, i) for i in range(5))))
-    pmap = combine([tally], BoardContext(3, sea))
+    sea = cells(*((4, i) for i in range(5)))
+    pmap, sea_prob = combine([tally], BoardContext(3, len(sea)))
     assert pmap[A] == pytest.approx(0.5)
-    assert pmap[Cell(4, 0)] == pytest.approx(0.4)
-    cell, prob = argmin_cell(pmap)
+    assert sea_prob == pytest.approx(0.4)
+    cell, prob = argmin_cell({**pmap, **dict.fromkeys(sea, sea_prob)})
     assert cell == Cell(4, 0)  # lowest row-major among the sea cells
     assert prob == pytest.approx(0.4)
 
@@ -149,7 +148,8 @@ def test_coin_flip_board_wins_half_the_time():
     assert wins / 10_000 == pytest.approx(0.5, abs=0.02)
 
 
-def test_guesses_track_oracle_argmin():
+@pytest.mark.parametrize("mode", ["full", "exact"])
+def test_guesses_track_oracle_argmin(mode):
     # whenever the solver has to guess, its pick matches the minimum of an
     # independently computed full-board posterior
     rng = random.Random(131)
@@ -158,7 +158,7 @@ def test_guesses_track_oracle_argmin():
         state = random_position(rng)
         if state is None:
             continue
-        decision = next_move(state)
+        decision = next_move(state, config=SolverConfig(mode=mode))
         if decision.kind is not MoveKind.GUESS or decision.pipeline_depth != "exact":
             continue
         checked += 1
@@ -297,19 +297,6 @@ def test_mode_win_rates_monotone_over_paired_seeds(inter_batch,
     assert full_exact.z_score > z95
     assert full_logic.z_score > z95
     assert exact_logic.z_score > -z95  # no significant inversion
-
-
-def test_exact_mode_uses_plain_group_marginals():
-    # no mine-budget coupling: group marginals come from the group's own
-    # tally and the sea gets the expected leftover, (2 - 1) / 3
-    sea = cells((5, 0), (5, 1), (5, 2))
-    probs, depth = policy._probability_map(
-        ConstraintSystem(frozenset({con([A, B], 1)}), {}), sea, 2, "exact",
-        deadline=float("inf"), view_seed=0,
-    )
-    assert depth == "exact"
-    assert probs[A] == pytest.approx(0.5) and probs[B] == pytest.approx(0.5)
-    assert all(probs[c] == pytest.approx(1 / 3) for c in sea)
 
 
 def test_exact_mode_oversized_group_is_labelled_fallback(monkeypatch):
