@@ -18,12 +18,11 @@ agree exactly, and the explicit enumerator is kept as a cross-check. Every
 sea cell has the same posterior, so the sea is one size in and one
 probability out.
 
-When every tally is exact the weights are Python integers and each
-posterior is one integer division, so it is correctly rounded and equal
-posteriors come out as equal floats. With any sampled tally the same
-arithmetic runs on floats, with each weight list divided by its maximum so
-that sea binomials up to C(480, 240) stay in range. It is plain Python: a
-guess whose groups are all counted exactly never loads numpy.
+Tallies are integer tables, counted or sampled alike, so the weights are
+Python integers and each posterior is one integer division: it is
+correctly rounded, and equal posteriors come out as equal floats. It is
+plain Python: a guess whose groups are all counted exactly never loads
+numpy.
 """
 
 from __future__ import annotations
@@ -94,23 +93,13 @@ def combine(tallies: Sequence[GroupTally],
     """
     _check_disjoint(tallies)
     m, u = ctx.remaining_mines, ctx.sea_size
-    weights = [
-        [tally.counts.get(k, 0) for k in range(min(max(tally.counts), m) + 1)]
-        for tally in tallies
-    ]
+    weights = [tally.counts[:m + 1] for tally in tallies]
     # the groups take at most sum(len(w) - 1) mines, so the sea takes at
     # least lo; sea[i] counts placements of lo + i mines in it, and every
     # list index is a mine count minus lo, up to hi = m - lo
     lo = max(0, m - sum(len(w) - 1 for w in weights))
     hi = m - lo
     sea = [math.comb(u, j) for j in range(lo, min(u, m) + 1)]
-    tops = [1] * len(tallies)
-    if not all(tally.exact for tally in tallies):
-        # sampled weights have any scale: divide each list by its maximum
-        tops = [max(tally.counts.values()) for tally in tallies]
-        weights = [[x / top for x in w] for w, top in zip(weights, tops)]
-        top = max(sea, default=1)
-        sea = [x / top for x in sea]
 
     # prefix[g]: the sea and groups before g; suffix[g]: groups g onwards
     prefix = [sea]
@@ -132,9 +121,8 @@ def combine(tallies: Sequence[GroupTally],
         # weight of every assignment in which this group takes k mines
         kw = [(k, x) for k, w in enumerate(weights[g])
               if w and (x := _coef(prefix[g], suffix[g + 1], hi - k))]
-        denom = w_total * tops[g]
         for cell, row in zip(tally.cells, tally.cell_counts):
-            probs[cell] = sum(row[k] * x for k, x in kw) / denom
+            probs[cell] = sum(row[k] * x for k, x in kw) / w_total
 
     if not u:
         return probs, 0.0
@@ -147,35 +135,28 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
     """Reference implementation: enumerate every mine-count vector.
 
     Exponential in the number of groups; retained as the oracle the
-    convolution path is checked against. Exact tallies are combined in
-    integer/rational arithmetic.
+    convolution path is checked against. It runs in integer and rational
+    arithmetic.
     """
     _check_disjoint(tallies)
     m, u = ctx.remaining_mines, ctx.sea_size
-    all_exact = all(t.exact for t in tallies)
 
     w_total = 0
-    numer: dict[Cell, object] = {
-        cell: 0 for t in tallies for cell in t.cells
-    }
+    numer = {cell: 0 for t in tallies for cell in t.cells}
     sea_numer = 0
-    k_lists = [sorted(t.counts) for t in tallies]
-    for vector in product(*k_lists):
+    for vector in product(*(range(len(t.counts)) for t in tallies)):
         leftover = m - sum(vector)
         if leftover < 0 or leftover > u:
             continue
-        sea_w = math.comb(u, leftover)
-        weight = sea_w
+        weight = math.comb(u, leftover)
         for tally, k in zip(tallies, vector):
-            weight = weight * tally.counts[k]
+            weight *= tally.counts[k]
         if weight == 0:
             continue
         w_total += weight
         sea_numer += weight * leftover
         for tally, k in zip(tallies, vector):
-            partial = weight / tally.counts[k] if not all_exact else (
-                weight // tally.counts[k]
-            )
+            partial = weight // tally.counts[k]
             for cell, row in zip(tally.cells, tally.cell_counts):
                 numer[cell] += partial * row[k]
     if w_total == 0:
@@ -183,10 +164,5 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
             f"no assignment places {m} mines over these groups and {u} sea cells"
         )
 
-    def ratio(a: object, scale: int = 1) -> float:
-        if all_exact:
-            return float(Fraction(int(a), int(w_total) * scale))
-        return a / (w_total * scale)
-
-    probs = {cell: ratio(v) for cell, v in numer.items()}
-    return probs, ratio(sea_numer, u) if u else 0.0
+    probs = {cell: float(Fraction(v, w_total)) for cell, v in numer.items()}
+    return probs, float(Fraction(sea_numer, w_total * u)) if u else 0.0

@@ -83,7 +83,6 @@ def extract_constraints(state: GameState,
     known_idx = {spec.index(c): v for c, v in known.items()}
     revealed = state.revealed
     constraints: set[Constraint] = set()
-    seen: dict[frozenset[Cell], int] = {}
     for i, value in state.revealed_clues():
         cells = []
         rhs = value
@@ -101,13 +100,7 @@ def extract_constraints(state: GameState,
                     f"clue at {spec.cell(i)} cannot be met by its known neighbors"
                 )
             continue
-        vars_ = frozenset(cells)
-        if vars_ in seen and seen[vars_] != rhs:
-            raise ContradictionError(
-                f"clues disagree on {sorted(vars_)}: {seen[vars_]} vs {rhs}"
-            )
-        seen[vars_] = rhs
-        constraints.add(Constraint(vars_, rhs))
+        constraints.add(Constraint(frozenset(cells), rhs))
     return ConstraintSystem(frozenset(constraints), known)
 
 

@@ -162,10 +162,12 @@ class GameState:
         return self.mines[self.spec.index(cell)]
 
     def revealed_clues(self) -> Iterator[tuple[int, int]]:
-        """(flat index, value) for every revealed safe cell."""
-        mines, revealed, values = self.mines, self.revealed, self.values
+        """(flat index, value) for every revealed cell. Read from the
+        visible board alone: in a game still in progress no revealed cell
+        is a mine."""
+        revealed, values = self.revealed, self.values
         for i in range(self.spec.cells):
-            if revealed[i] and not mines[i]:
+            if revealed[i]:
                 yield i, values[i]
 
     def covered_cells(self) -> list[Cell]:

@@ -18,7 +18,8 @@ from .engine import Cell
 from .grouping import Group
 
 # Past ~22 variables exact counting stops paying for itself within the move
-# budget; callers should fall back to sampling.
+# budget: `full` mode samples such a group, and `exact` mode takes the
+# density estimate for the guess.
 EXACT_VAR_LIMIT = 22
 
 # Hard cap on search-tree branch points, so a loosely constrained group is
@@ -32,7 +33,8 @@ _BINOMIALS = [[comb(s, j) for j in range(s + 1)] for s in range(EXACT_VAR_LIMIT 
 
 
 class GroupTooLargeError(ValueError):
-    """Group exceeds the exact-enumeration threshold; sample it instead."""
+    """Group exceeds the exact-enumeration threshold or its budget; `full`
+    mode samples it instead, `exact` mode takes the density estimate."""
 
 
 class InconsistentGroupError(ValueError):
@@ -41,31 +43,20 @@ class InconsistentGroupError(ValueError):
 
 @dataclass
 class GroupTally:
-    """Satisfying-assignment counts for one group.
+    """Satisfying-assignment counts for one group, as integer tables.
 
-    counts[k] is N(k); cell_counts[i][k] is C(cells[i], k) for k up to
-    max(counts), one row per cell (cells of one box may share a row).
-    Exact tallies hold integers; sampled tallies hold importance weights
-    (floats) that estimate the same quantities up to one common scale
-    factor.
+    counts[k] is N(k) for k up to the largest mine count with N(k) > 0;
+    cell_counts[i][k] is C(cells[i], k) over the same k, one row per cell
+    (cells of one box may share a row). Counted tallies hold the exact
+    numbers; sampled tallies hold summed importance weights, integers that
+    estimate the same quantities up to one common scale factor.
     """
 
     cells: tuple[Cell, ...]
-    counts: dict[int, float]
-    cell_counts: list[list[float]]
-    exact: bool
+    counts: list[int]
+    cell_counts: list[list[int]]
     samples_used: int = 0
     nodes_visited: int = 0
-
-    def total(self) -> float:
-        return sum(self.counts.values())
-
-    def marginals(self) -> dict[Cell, float]:
-        """Per-cell mine probability within the group, ignoring any global
-        mine-budget coupling."""
-        total = self.total()
-        return {cell: sum(row) / total
-                for cell, row in zip(self.cells, self.cell_counts)}
 
 
 def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
@@ -81,7 +72,7 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     one or more solutions), which never exceeds 2^n. `deadline` is an
     optional time.monotonic() cutoff, checked on entry and every
     CHECK_EVERY_NODES branch points; passing it, or MAX_NODES branch
-    points, raises GroupTooLargeError so the caller can sample.
+    points, raises GroupTooLargeError so the caller can fall back.
     """
     n = len(group.vars)
     if n == 0:
@@ -167,20 +158,20 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
                 sums[ci] -= j
 
     visit(0, 1, 0)
-    ks = [k for k in range(n + 1) if counts[k]]
-    if not ks:
+    while counts and not counts[-1]:
+        counts.pop()
+    if not counts:
         raise InconsistentGroupError(
             f"group over {n} cells has no satisfying assignment"
         )
-    top = ks[-1] + 1
+    top = len(counts)
     rows = {
         key: totals[:top] if size == 1 else [x // size for x in totals[:top]]
         for key, (_, _, totals, _, size) in zip(order, plan)
     }
     return GroupTally(
         cells=cells,
-        counts={k: counts[k] for k in ks},
+        counts=counts,
         cell_counts=[rows[member[cell]] for cell in cells],
-        exact=True,
         nodes_visited=dead_ends + leaves,
     )

@@ -271,7 +271,7 @@ def paired_delta(mode_a: str, wins_a: Sequence[bool],
     d = np.asarray(wins_a, dtype=np.float64) - np.asarray(wins_b, dtype=np.float64)
     delta = float(d.mean())
     se = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
-    z = delta / se if se > 0 else (math.inf if delta > 0 else 0.0)
+    z = delta / se if se > 0 else (math.copysign(math.inf, delta) if delta else 0.0)
     p = 0.5 * math.erfc(z / math.sqrt(2))
     return PairedDelta(mode_a, mode_b, delta, se, z, p)
 

@@ -105,6 +105,13 @@ class MoveKind(Enum):
     GUESS = "guess"
 
 
+def _checked_budget(budget_ms: float) -> float:
+    """budget_ms itself, or ValueError unless it is positive (NaN is not)."""
+    if not budget_ms > 0:
+        raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
+    return budget_ms
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     budget_ms: float = 5000.0
@@ -114,8 +121,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.budget_ms <= 0:
-            raise ValueError("budget_ms must be positive")
+        _checked_budget(self.budget_ms)
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,12 @@ def _heuristic_probs(system: ConstraintSystem, sea_size: int,
 def next_move(state: GameState, budget_ms: Optional[float] = None,
               config: Optional[SolverConfig] = None) -> MoveDecision:
     """Decide one move for the current position within the time budget
-    (`budget_ms` if given, else `config.budget_ms`)."""
+    (`budget_ms` if given, else `config.budget_ms`; either must be
+    positive)."""
     t0 = monotonic()
     config = config or SolverConfig()
-    budget_s = (budget_ms if budget_ms is not None else config.budget_ms) / 1000.0
+    budget_s = (config.budget_ms if budget_ms is None
+                else _checked_budget(budget_ms)) / 1000.0
     if state.status is not GameStatus.IN_PROGRESS:
         raise InvalidMoveError("game is over")
     spec = state.spec

@@ -6,7 +6,8 @@ set for free, an unforced one is drawn uniformly, and the finished
 assignment is weighted by the inverse of its draw probability (2^#free
 choices). Every satisfying assignment is reachable under every order, so
 the weighted tallies are unbiased estimates of the exact counts up to a
-common scale - which is all the combiner needs.
+common scale - which is all the combiner needs. The weights are powers of
+two, so the tallies are integers, like the exact ones.
 """
 
 from __future__ import annotations
@@ -75,12 +76,13 @@ def sample_group(group: Group,
         raise SamplingStarvedError(
             f"no satisfying assignment found in {draws_done} draws"
         )
-    ks_present = [int(k) for k in np.flatnonzero(counts)]
+    # every weight is a power of two, so each float sum is a whole number
+    # and int() converts it exactly
+    top = int(np.flatnonzero(counts)[-1]) + 1
     return GroupTally(
         cells=cells,
-        counts={k: float(counts[k]) for k in ks_present},
-        cell_counts=cell_counts[:, :ks_present[-1] + 1].tolist(),
-        exact=False,
+        counts=[int(x) for x in counts[:top].tolist()],
+        cell_counts=[[int(x) for x in row] for row in cell_counts[:, :top].tolist()],
         samples_used=draws_done,
     )
 

@@ -38,6 +38,13 @@ def tally_dict(tally) -> dict[tuple[Cell, int], float]:
             for k, x in enumerate(row)}
 
 
+def marginals(tally) -> dict[Cell, float]:
+    """Per-cell mine probability within one group, ignoring the global mine
+    budget: the cell's share of the group's solutions."""
+    total = sum(tally.counts)
+    return {cell: sum(row) / total for cell, row in zip(tally.cells, tally.cell_counts)}
+
+
 def brute_force_solutions(constraints, variables) -> list[dict[Cell, int]]:
     """All satisfying 0/1 assignments, by trying every combination."""
     variables = sorted(variables)

@@ -16,7 +16,7 @@ from minesolve.harness import paired_delta
 from minesolve.policy import MoveKind, next_move
 from minesolve.sampling import sample_group
 
-from helpers import B, ONE_TWO_ONE_TEXT, random_connected_group
+from helpers import B, ONE_TWO_ONE_TEXT, marginals, random_connected_group
 
 
 def check(criterion: int, label: str, ok: bool, detail: str) -> None:
@@ -91,9 +91,9 @@ def test_criterion_6_sampler_fidelity():
     worst = 0.0
     for trial in range(20):
         group = random_connected_group(rng, rng.randint(8, 12), rng.randint(3, 6))
-        exact = enumerate_group(group).marginals()
-        sampled = sample_group(group, max_samples=1 << 18,
-                               rng=7000 + trial).marginals()
+        exact = marginals(enumerate_group(group))
+        sampled = marginals(sample_group(group, max_samples=1 << 18,
+                                         rng=7000 + trial))
         for cell in exact:
             worst = max(worst, abs(sampled[cell] - exact[cell]))
     check(6, "sampler fidelity", worst <= 0.02,

@@ -54,6 +54,12 @@ def test_invalid_mine_count_fails():
     assert main(["play", "--width", "3", "--height", "3", "--mines", "10"]) == 2
 
 
+def test_non_positive_budget_fails():
+    for budget in ("0", "-5", "nan"):
+        assert main(["play", "--difficulty", "simple", "--games", "1",
+                     "--budget-ms", budget]) == 2
+
+
 def test_ablate_csv(capsys):
     code = main([
         "ablate", "--width", "4", "--height", "4", "--mines", "2",

@@ -134,7 +134,7 @@ def random_tally_cases():
             hidden = rng.randint(0, n)
             tallies.append(tally_of(con(vs, hidden), variables=vs))
         sea_size = rng.randint(0, 6)
-        m = rng.randint(0, sum(max(t.counts) for t in tallies) + sea_size)
+        m = rng.randint(0, sum(len(t.counts) - 1 for t in tallies) + sea_size)
         yield tallies, BoardContext(m, sea_size)
 
 
@@ -167,12 +167,50 @@ def test_exact_tallies_match_enumeration_bit_for_bit():
     assert checked >= 10
 
 
+def mixed_tally_cases():
+    """(tallies, ctx) pairs mixing sampled and counted groups: a sampled
+    random group on row 0, a counted one-clue group on row 1, up to two
+    more one-clue groups either way, a sea of 0-8 cells and a mine budget
+    that is mostly feasible."""
+    rng = random.Random(103)
+    for case in range(16):
+        group = random_connected_group(rng, rng.randint(6, 10), rng.randint(2, 4))
+        tallies = [sample_group(group, max_samples=1 << 10, rng=case)]
+        for g in range(1, rng.randint(2, 4)):
+            vs = cells(*((g, i) for i in range(rng.randint(2, 5))))
+            group = Group(constraints=(con(vs, rng.randint(0, len(vs))),), vars=tuple(vs))
+            if g > 1 and rng.random() < 0.5:
+                tallies.append(sample_group(group, max_samples=1 << 8, rng=case))
+            else:
+                tallies.append(enumerate_group(group))
+        sea_size = rng.randint(0, 8)
+        fewest = sum(next(k for k, n in enumerate(t.counts) if n) for t in tallies)
+        most = sum(len(t.counts) - 1 for t in tallies) + sea_size
+        yield tallies, BoardContext(rng.randint(max(0, fewest - 1), most), sea_size)
+
+
+def test_mixed_tallies_match_enumeration_bit_for_bit():
+    # sampled tallies are integer tables too, so the same single integer
+    # division gives the same floats on both sides
+    checked = 0
+    for tallies, ctx in mixed_tally_cases():
+        try:
+            direct = combine_by_enumeration(tallies, ctx)
+        except CombineInfeasibleError:
+            with pytest.raises(CombineInfeasibleError):
+                combine(tallies, ctx)
+            continue
+        assert combine(tallies, ctx) == direct
+        checked += 1
+    assert checked >= 10
+
+
 def test_combine_accepts_sampled_tallies():
     rng = random.Random(97)
     group = random_connected_group(rng, 9, 4)
     sampled = sample_group(group, max_samples=1 << 14, rng=9)
     exact = enumerate_group(group)
-    ctx = BoardContext(max(exact.counts) + 1, 3)
+    ctx = BoardContext(len(exact.counts), 3)
     approx, approx_sea = combine([sampled], ctx)
     truth, truth_sea = combine([exact], ctx)
     for cell in truth:
@@ -189,7 +227,7 @@ def test_sampled_tally_on_hard_sized_board_stays_in_range():
               vars=tuple(wide)),
         max_samples=1 << 12, rng=5,
     )
-    assert max(sampled.counts.values()) > 1e17
+    assert max(sampled.counts) > 10 ** 17
     tallies = []
     for g in range(5):
         vs = cells(*((g, i) for i in range(4)))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -126,6 +127,12 @@ def test_paired_delta_statistics():
     same = paired_delta("a", wins_a, "b", wins_a)
     assert same.delta == 0.0
     assert same.p_one_sided == pytest.approx(0.5)
+
+    # every paired difference equal: no spread, but the sign still counts
+    worse = paired_delta("a", [False] * 10, "b", [True] * 10)
+    assert worse.z_score == -math.inf and worse.p_one_sided == 1.0
+    better = paired_delta("a", [True] * 10, "b", [False] * 10)
+    assert better.z_score == math.inf and better.p_one_sided == 0.0
 
 
 def test_wilson_interval_basic_properties():

@@ -12,8 +12,10 @@ from minesolve.constraints import (
 from minesolve.engine import (
     BoardSpec,
     Cell,
+    GameState,
     GameStatus,
     InvalidMoveError,
+    neighbor_table,
     new_board,
     parse_board,
     render_board,
@@ -242,6 +244,20 @@ def test_next_move_rejects_finished_game():
         next_move(state)
 
 
+@pytest.mark.parametrize("budget_ms", [0.0, -5.0, float("nan")])
+def test_config_rejects_non_positive_budget(budget_ms):
+    with pytest.raises(ValueError):
+        SolverConfig(budget_ms=budget_ms)
+
+
+@pytest.mark.parametrize("budget_ms", [0.0, -5.0, float("nan")])
+def test_next_move_rejects_non_positive_budget(budget_ms):
+    state = parse_board(ONE_TWO_ONE_TEXT)
+    with pytest.raises(ValueError):
+        next_move(state, budget_ms)
+    assert next_move(state, 50.0).cell == B  # a positive override is used
+
+
 def test_loss_on_first_move_flag():
     spec = BoardSpec(8, 8, 10)
     seen_first_loss = False
@@ -439,3 +455,57 @@ def test_queue_dropped_when_move_log_diverges(monkeypatch):
     state.moves[:] = [(cell, value) for cell, value in state.moves]
     next_move(state)
     assert counter.calls == 1
+
+
+def twin_positions(seeds, mode):
+    """(position, twin) pairs along games played in `mode` on 8x8/10: the
+    twin moves one mine between two covered cells that no revealed cell
+    touches, so both layouts show the same view. Both are fresh states,
+    with no move log or safe queue."""
+    spec = BoardSpec(8, 8, 10)
+    table = neighbor_table(spec.width, spec.height)
+    config = SolverConfig(mode=mode)
+    for seed in seeds:
+        state = new_board(BoardSpec(8, 8, 10, seed=seed))
+        while state.status is GameStatus.IN_PROGRESS:
+            revealed = state.revealed
+            hidden = [i for i in range(spec.cells) if not revealed[i]
+                      and not any(revealed[j] for j in table[i])]
+            src = next((i for i in hidden if state.mines[i]), None)
+            dst = next((i for i in hidden if not state.mines[i]), None)
+            if src is not None and dst is not None:
+                moved = list(state.mines)
+                moved[src], moved[dst] = False, True
+                yield (GameState(spec, list(state.mines), list(revealed)),
+                       GameState(spec, moved, list(revealed)))
+            reveal(state, next_move(state, config=config).cell)
+
+
+def decide(state, mode):
+    d = next_move(state, config=SolverConfig(mode=mode))
+    return d.kind, d.cell, d.prob, d.pipeline_depth
+
+
+@pytest.mark.parametrize("mode", policy.MODES)
+def test_decision_depends_only_on_the_view(mode):
+    guesses = 0
+    for position, twin in twin_positions(range(30), mode):
+        one = decide(position, mode)
+        assert decide(twin, mode) == one
+        guesses += one[0] is MoveKind.GUESS
+    assert guesses >= 20
+
+
+def test_sampled_guesses_depend_only_on_the_view(monkeypatch):
+    # the sampler's seed and draws must come from the view too; the first
+    # few sampled guesses are enough to tell, since each is an estimate
+    monkeypatch.setattr(exact, "EXACT_VAR_LIMIT", 3)
+    sampled = 0
+    for position, twin in twin_positions(range(30), "exact"):
+        one = decide(position, "full")
+        if one[3] == "sampled":
+            assert decide(twin, "full") == one
+            sampled += 1
+            if sampled == 4:
+                return
+    raise AssertionError(f"only {sampled} sampled guesses had a twin layout")

@@ -9,7 +9,7 @@ from minesolve.exact import enumerate_group
 from minesolve.grouping import Group
 from minesolve.sampling import _importance_batch, group_arrays, sample_group
 
-from helpers import A, B, cells, con, random_connected_group, tally_dict
+from helpers import A, B, cells, con, marginals, random_connected_group, tally_dict
 
 
 def simple_group(*constraints, variables):
@@ -18,13 +18,12 @@ def simple_group(*constraints, variables):
 
 def test_pair_marginal_converges_to_exact():
     group = simple_group(con([A, B], 1), variables=(A, B))
-    exact = enumerate_group(group).marginals()
+    exact = marginals(enumerate_group(group))
     assert exact == {A: 0.5, B: 0.5}
 
-    tally = sample_group(group, max_samples=1 << 18, rng=123)
-    marginals = tally.marginals()
-    assert abs(marginals[A] - 0.5) < 0.01
-    assert abs(marginals[B] - 0.5) < 0.01
+    sampled = marginals(sample_group(group, max_samples=1 << 18, rng=123))
+    assert abs(sampled[A] - 0.5) < 0.01
+    assert abs(sampled[B] - 0.5) < 0.01
 
 
 def test_forced_variable_is_exact():
@@ -37,8 +36,8 @@ def test_sampled_marginals_close_to_exact():
     rng = random.Random(61)
     for trial in range(4):
         group = random_connected_group(rng, rng.randint(8, 12), rng.randint(3, 6))
-        exact = enumerate_group(group).marginals()
-        sampled = sample_group(group, max_samples=1 << 18, rng=trial).marginals()
+        exact = marginals(enumerate_group(group))
+        sampled = marginals(sample_group(group, max_samples=1 << 18, rng=trial))
         for cell in exact:
             assert abs(sampled[cell] - exact[cell]) < 0.02
 
@@ -58,14 +57,15 @@ def test_unbiased_within_three_standard_errors():
             sample_group(group, max_samples=draws, rng=2000 + 31 * trial + r)
             for r in range(replicates)
         ]
-        for k, n_exact in exact_tally.counts.items():
-            values = np.array([r.counts.get(k, 0.0) / draws for r in reps])
+        for k, n_exact in enumerate(exact_tally.counts):
+            values = np.array([(r.counts[k] if k < len(r.counts) else 0) / draws
+                               for r in reps])
             se_mean = values.std(ddof=1) / math.sqrt(replicates)
             assert abs(values.mean() - n_exact) <= 3 * se_mean + 1e-9
 
-        exact_marginals = exact_tally.marginals()
+        exact_marginals = marginals(exact_tally)
         for cell in exact_marginals:
-            values = np.array([r.marginals()[cell] for r in reps])
+            values = np.array([marginals(r)[cell] for r in reps])
             se_mean = values.std(ddof=1) / math.sqrt(replicates)
             assert abs(values.mean() - exact_marginals[cell]) <= 3 * se_mean + 2e-3
 
@@ -80,12 +80,22 @@ def test_identical_seed_and_budget_identical_tally():
     assert one.samples_used == two.samples_used
 
 
+def test_tallies_are_python_ints():
+    # importance weights are powers of two, so the summed tallies are
+    # integers and come out as exact Python ints, trimmed like counted ones
+    rng = random.Random(89)
+    tally = sample_group(random_connected_group(rng, 10, 4), max_samples=4096, rng=3)
+    assert tally.counts[-1] > 0
+    for row in [tally.counts, *tally.cell_counts]:
+        assert len(row) == len(tally.counts)
+        assert all(type(x) is int and x >= 0 for x in row)
+
+
 def test_budget_cap_respected():
     rng = random.Random(73)
     group = random_connected_group(rng, 10, 4)
     tally = sample_group(group, max_samples=3000, rng=1)
     assert tally.samples_used <= 3000
-    assert not tally.exact
 
 
 def test_deadline_stops_early():
@@ -116,7 +126,7 @@ def test_importance_never_starves_on_feasible_group():
     tight = cells(*((0, i) for i in range(20)))
     group = simple_group(con(tight, 20), variables=tight)
     tally = sample_group(group, max_samples=64, rng=7)
-    assert tally.counts == {20: 64.0}
+    assert tally.counts == [0] * 20 + [64]
 
 
 def test_bad_arguments_rejected():
