@@ -91,6 +91,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         board = _board_from_args(args)
+        if args.out is not None and not args.out.parent.is_dir():
+            raise ValueError(f"--out directory {args.out.parent} does not exist")
         config = SolverConfig(budget_ms=args.budget_ms,
                               mode=getattr(args, "mode", "full"),
                               first_move=args.first_move)

@@ -13,12 +13,11 @@ import io
 import json
 import math
 import os
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .engine import BoardSpec, difficulty_spec
 from .policy import MODES, GameRecord, SolverConfig, play_game
@@ -158,10 +157,10 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
     if n_workers <= 1 or games < _MIN_GAMES_FOR_POOL:
         results = _play_span((spec, seeds, config, keep))
     else:
-        spans = np.array_split(np.asarray(seeds), n_workers * 4)
+        span = -(-games // (n_workers * 4))
         jobs = [
-            (spec, [int(s) for s in span], config, keep)
-            for span in spans if span.size
+            (spec, seeds[i:i + span], config, keep)
+            for i in range(0, games, span)
         ]
         results = []
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -180,21 +179,21 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
         all_times.extend(times)
         per_game.append(PerGame(
             seed=seed, won=won, loss_on_first_move=loss_first,
-            n_moves=len(times), max_move_ms=max(times),
+            n_moves=len(times), max_move_ms=max(times, default=0.0),
         ))
         if keep:
             records.append(record)
 
-    times_arr = np.asarray(all_times)
+    ordered = sorted(all_times) or [0.0]  # no game moved: every cell a mine
     report = BatchReport(
         board=spec, mode=config.mode, games=games, wins=wins,
         win_rate=wins / games,
         wilson_95=wilson_interval(wins, games),
         move_time_ms={
-            "mean": float(times_arr.mean()),
-            "p50": float(np.percentile(times_arr, 50)),
-            "p99": float(np.percentile(times_arr, 99)),
-            "max": float(times_arr.max()),
+            "mean": statistics.fmean(ordered),
+            "p50": _percentile(ordered, 50),
+            "p99": _percentile(ordered, 99),
+            "max": ordered[-1],
         },
         first_move_losses=first_losses,
         base_seed=base_seed,
@@ -205,6 +204,15 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
     if replay_dir is not None:
         _write_replays(report, Path(replay_dir))
     return report
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """q-th percentile of sorted data, interpolated linearly between the
+    two nearest ranks (numpy's default method)."""
+    pos = (len(ordered) - 1) * q / 100
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def _write_replays(report: BatchReport, replay_dir: Path) -> None:
@@ -268,9 +276,11 @@ def paired_delta(mode_a: str, wins_a: Sequence[bool],
                  mode_b: str, wins_b: Sequence[bool]) -> PairedDelta:
     if len(wins_a) != len(wins_b):
         raise ValueError("paired comparison needs equal game counts")
-    d = np.asarray(wins_a, dtype=np.float64) - np.asarray(wins_b, dtype=np.float64)
-    delta = float(d.mean())
-    se = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
+    if not wins_a:
+        raise ValueError("paired comparison needs at least one game")
+    d = [int(a) - int(b) for a, b in zip(wins_a, wins_b)]
+    delta = statistics.fmean(d)
+    se = statistics.stdev(d) / math.sqrt(len(d)) if len(d) > 1 else 0.0
     z = delta / se if se > 0 else (math.copysign(math.inf, delta) if delta else 0.0)
     p = 0.5 * math.erfc(z / math.sqrt(2))
     return PairedDelta(mode_a, mode_b, delta, se, z, p)

@@ -1,25 +1,21 @@
 """Ground-truth probabilities by brute force, for small positions.
 
-Deliberately shares no machinery with the solving pipeline: it enumerates
-every placement of the remaining mines over the covered cells, keeps the
-placements consistent with all revealed clue values, and reports exact
-per-cell mine frequencies as rationals. Slow on purpose; it exists to
-check the pipeline, not to play.
+Deliberately shares no machinery with the solving pipeline: it tries
+every placement of the remaining mines over the covered cells, keeps those
+that give each clue the mined neighbours it still needs, and reports exact
+per-cell mine frequencies as rationals. Plain Python and slow on purpose;
+it exists to check the pipeline, not to play.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Mapping, Optional
-
-import numpy as np
 
 from .engine import Cell, GameState
 
 MAX_OPEN_CELLS = 25
-
-_CHUNK = 4096
 
 
 class OracleLimitError(ValueError):
@@ -65,44 +61,30 @@ def exact_view_probabilities(width: int, height: int,
         return out
 
     pos = {cell: i for i, cell in enumerate(open_cells)}
-    n = len(open_cells)
     # each clue: which open cells it touches, and how many of them must be mines
-    member = []
-    need = []
+    clue_rows = []
     for cell, value in clues.items():
-        row = np.zeros(n, dtype=np.int8)
+        touch = set()
         want = value
         for nb in around(cell):
             if nb in pos:
-                row[pos[nb]] = 1
+                touch.add(pos[nb])
             elif known.get(nb) == 1:
                 want -= 1
-        member.append(row)
-        need.append(want)
-    member_m = np.array(member, dtype=np.int8).reshape(len(member), n)
-    need_v = np.array(need, dtype=np.int64)
+        clue_rows.append((touch, want))
 
-    hits = np.zeros(n, dtype=np.int64)
+    hits = [0] * len(open_cells)
     consistent = 0
-    if remaining == 0:
-        if bool((need_v == 0).all()):
-            consistent = 1
-    else:
-        combo_iter = combinations(range(n), remaining)
-        while True:
-            block = list(islice(combo_iter, _CHUNK))
-            if not block:
-                break
-            rows = np.array(block, dtype=np.int64)
-            placements = np.zeros((rows.shape[0], n), dtype=np.int8)
-            np.put_along_axis(placements, rows, np.int8(1), axis=1)
-            ok = (placements @ member_m.T == need_v).all(axis=1)
-            consistent += int(ok.sum())
-            hits += placements[ok].sum(axis=0, dtype=np.int64)
+    for placement in combinations(range(len(open_cells)), remaining):
+        if all(len(touch.intersection(placement)) == want
+               for touch, want in clue_rows):
+            consistent += 1
+            for i in placement:
+                hits[i] += 1
 
     if consistent == 0:
         raise NoConsistentPlacementError("no placement matches the clues")
-    return {cell: Fraction(int(hits[pos[cell]]), consistent) for cell in open_cells}
+    return {cell: Fraction(hits[i], consistent) for i, cell in enumerate(open_cells)}
 
 
 def exact_board_probabilities(state: GameState,

@@ -13,13 +13,13 @@ two, so the tallies are integers, like the exact ones.
 from __future__ import annotations
 
 from time import monotonic
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .engine import Cell
 from .exact import GroupTally
 from .grouping import Group
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # names the array helpers' parameter types
     import numpy as np
 
 MAX_SAMPLES_DEFAULT = 1 << 18
@@ -34,7 +34,7 @@ class SamplingStarvedError(RuntimeError):
 def sample_group(group: Group,
                  max_samples: int = MAX_SAMPLES_DEFAULT,
                  deadline: Optional[float] = None,
-                 rng: Union[np.random.Generator, int, None] = None) -> GroupTally:
+                 rng: Optional[int] = None) -> GroupTally:
     """Estimate a group's tally from up to max_samples candidate draws.
 
     `deadline` is an optional time.monotonic() cutoff; sampling stops at
@@ -48,9 +48,7 @@ def sample_group(group: Group,
         raise ValueError("cannot sample an empty group")
     import numpy as np  # loaded on first use: only sampled guesses need it
 
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-
+    generator = np.random.default_rng(rng)
     cells = tuple(sorted(group.vars))
     a, rhs = group_arrays(group, list(cells))
     n = len(cells)
@@ -62,7 +60,7 @@ def sample_group(group: Group,
         if deadline is not None and monotonic() > deadline and draws_done > 0:
             break
         batch = min(BATCH_DRAWS, max_samples - draws_done)
-        vals, weights = _importance_batch(a, rhs, batch, rng)
+        vals, weights = _importance_batch(a, rhs, batch, generator)
         draws_done += batch
         if vals.shape[0] == 0:
             continue

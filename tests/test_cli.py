@@ -2,6 +2,7 @@ import json
 
 import jsonschema
 
+from minesolve import cli
 from minesolve.cli import main
 from minesolve.harness import REPORT_SCHEMA
 
@@ -44,6 +45,17 @@ def test_play_replay_dir(tmp_path):
     ])
     assert code == 0
     assert list(replays.glob("replay_*.json"))
+
+
+def test_missing_out_directory_fails_before_playing(tmp_path, monkeypatch):
+    played = []
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: played.append(args))
+    code = main([
+        "play", "--width", "4", "--height", "4", "--mines", "2",
+        "--out", str(tmp_path / "missing" / "report.json"),
+    ])
+    assert code == 2
+    assert not played
 
 
 def test_missing_board_arguments_fail():

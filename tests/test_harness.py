@@ -2,6 +2,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from minesolve.engine import BoardSpec
@@ -80,6 +81,27 @@ def test_replay_logs_for_lost_games(tmp_path):
     assert payload["moves"][-1]["result"] == "boom"
 
 
+def test_all_mine_board_is_won_without_moves():
+    report = run_batch(BoardSpec(2, 2, 4), games=3, workers=1)
+    assert report.wins == 3
+    assert [(g.n_moves, g.max_move_ms) for g in report.per_game] == [(0, 0.0)] * 3
+    assert report.move_time_ms == {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
+    jsonschema.validate(json.loads(json.dumps(report.to_dict())), REPORT_SCHEMA)
+
+
+def test_move_time_summary_matches_numpy():
+    report = run_batch(BoardSpec(5, 5, 4), games=20, workers=1, keep_records=True)
+    times = np.array([t for r in report.records for t in r.move_times_ms()])
+    expected = {
+        "mean": times.mean(),
+        "p50": np.percentile(times, 50),
+        "p99": np.percentile(times, 99),
+        "max": times.max(),
+    }
+    for key, value in expected.items():
+        assert report.move_time_ms[key] == pytest.approx(value, rel=1e-12)
+
+
 def test_batch_reports_the_config_it_played():
     report = run_batch(BoardSpec(5, 5, 4), games=5, workers=1,
                        config=SolverConfig(mode="exact", budget_ms=200))
@@ -133,6 +155,9 @@ def test_paired_delta_statistics():
     assert worse.z_score == -math.inf and worse.p_one_sided == 1.0
     better = paired_delta("a", [True] * 10, "b", [False] * 10)
     assert better.z_score == math.inf and better.p_one_sided == 0.0
+
+    with pytest.raises(ValueError):
+        paired_delta("a", [], "b", [])
 
 
 def test_wilson_interval_basic_properties():

@@ -23,6 +23,7 @@ from minesolve.engine import (
 )
 from minesolve.exact import enumerate_group
 from minesolve.grouping import Group, partition
+from minesolve.oracle import exact_board_probabilities
 from minesolve.policy import (
     MoveKind,
     SolverConfig,
@@ -152,8 +153,8 @@ def test_coin_flip_board_wins_half_the_time():
 
 @pytest.mark.parametrize("mode", ["full", "exact"])
 def test_guesses_track_oracle_argmin(mode):
-    # whenever the solver has to guess, its pick matches the minimum of an
-    # independently computed full-board posterior
+    # whenever the solver has to guess, its pick is the row-major first
+    # minimum of the brute-force oracle's exact posterior
     rng = random.Random(131)
     checked = 0
     while checked < 25:
@@ -164,13 +165,11 @@ def test_guesses_track_oracle_argmin(mode):
         if decision.kind is not MoveKind.GUESS or decision.pipeline_depth != "exact":
             continue
         checked += 1
-        result = pipeline_probability_map(state)
-        unassigned = {
-            c: p for c, p in result.probs.items() if c not in result.known
-        }
-        best = min(unassigned.values())
-        assert decision.prob == pytest.approx(unassigned[decision.cell], abs=1e-9)
-        assert unassigned[decision.cell] == pytest.approx(best, abs=1e-9)
+        truth = exact_board_probabilities(state)
+        best = min(truth.values())
+        assert decision.prob == float(truth[decision.cell])
+        assert truth[decision.cell] == best
+        assert decision.cell == min(c for c, p in truth.items() if p == best)
 
 
 def test_reveal_safe_never_hits_mine_on_small_boards():
@@ -221,7 +220,7 @@ def test_moves_respect_budget_with_slack():
 
 @pytest.mark.parametrize("budget_ms", [20, 100])
 def test_small_budgets_respect_deadline_and_still_count(budget_ms):
-    # Known defect: the first full-mode guess in a process imports numpy
+    # Known defect: the first *sampled* guess in a process imports numpy
     # inside its timed move (~150 ms), so a budget under that is broken
     # once per process. Import it first so only the solver is timed.
     import numpy  # noqa: F401
