@@ -34,7 +34,6 @@ from .exact import (
     EXACT_VAR_LIMIT,
     GroupTally,
     GroupTooLargeError,
-    InconsistentGroupError,
     enumerate_group,
 )
 from .grouping import Group, partition

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from time import monotonic
 
+from .constraints import ContradictionError
 from .engine import Cell
 from .grouping import Group
 
@@ -35,10 +36,6 @@ _BINOMIALS = [[comb(s, j) for j in range(s + 1)] for s in range(EXACT_VAR_LIMIT 
 class GroupTooLargeError(ValueError):
     """Group exceeds the exact-enumeration threshold or its budget; `full`
     mode samples it instead, `exact` mode takes the density estimate."""
-
-
-class InconsistentGroupError(ValueError):
-    """No assignment satisfies the group - an upstream bug."""
 
 
 @dataclass
@@ -72,11 +69,12 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     one or more solutions), which never exceeds 2^n. `deadline` is an
     optional time.monotonic() cutoff, checked on entry and every
     CHECK_EVERY_NODES branch points; passing it, or MAX_NODES branch
-    points, raises GroupTooLargeError so the caller can fall back.
+    points, raises GroupTooLargeError so the caller can fall back. A
+    group with no satisfying assignment raises ContradictionError.
     """
     n = len(group.vars)
     if n == 0:
-        raise InconsistentGroupError("empty group")
+        raise ValueError("cannot count an empty group")
     if n > EXACT_VAR_LIMIT:
         raise GroupTooLargeError(f"{n} variables exceeds limit {EXACT_VAR_LIMIT}")
     if deadline is not None and monotonic() > deadline:
@@ -161,7 +159,7 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     while counts and not counts[-1]:
         counts.pop()
     if not counts:
-        raise InconsistentGroupError(
+        raise ContradictionError(
             f"group over {n} cells has no satisfying assignment"
         )
     top = len(counts)

@@ -16,6 +16,7 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -127,16 +128,11 @@ def worker_count(workers: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _play_span(args: tuple) -> list[tuple]:
-    spec, seeds, config, keep = args
-    out = []
-    for seed in seeds:
-        record = play_game(spec, config=config, seed=seed)
-        out.append((
-            seed, record.won, record.loss_on_first_move,
-            record.move_times_ms(), record if keep else None,
-        ))
-    return out
+def _play_one(spec: BoardSpec, config: SolverConfig, keep: bool,
+              seed: int) -> tuple:
+    record = play_game(spec, config=config, seed=seed)
+    return (seed, record.won, record.loss_on_first_move,
+            record.move_times_ms(), record if keep else None)
 
 
 def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
@@ -152,21 +148,18 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
     config = config or SolverConfig()
     keep = keep_records or replay_dir is not None
 
-    seeds = list(range(base_seed, base_seed + games))
+    seeds = range(base_seed, base_seed + games)
+    play = partial(_play_one, spec, config, keep)
     n_workers = worker_count(workers)
     if n_workers <= 1 or games < _MIN_GAMES_FOR_POOL:
-        results = _play_span((spec, seeds, config, keep))
+        results = map(play, seeds)
     else:
         span = -(-games // (n_workers * 4))
-        jobs = [
-            (spec, seeds[i:i + span], config, keep)
-            for i in range(0, games, span)
-        ]
-        results = []
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for part in pool.map(_play_span, jobs):
-                results.extend(part)
-    results.sort(key=lambda row: row[0])
+        # the pool forks all its workers at the first submit, so never
+        # ask for more than there are chunks
+        chunks = -(-games // span)
+        with ProcessPoolExecutor(max_workers=min(n_workers, chunks)) as pool:
+            results = list(pool.map(play, seeds, chunksize=span))
 
     per_game = []
     records = [] if keep else None
@@ -225,17 +218,7 @@ def _write_replays(report: BatchReport, replay_dir: Path) -> None:
             "seed": record.seed,
             "board": report.to_dict()["board"],
             "mode": report.mode,
-            "moves": [
-                {
-                    "cell": [m.cell.row, m.cell.col],
-                    "kind": m.kind,
-                    "pipeline_depth": m.pipeline_depth,
-                    "prob": m.prob,
-                    "move_ms": m.move_ms,
-                    "result": m.result,
-                }
-                for m in record.moves
-            ],
+            "moves": [asdict(m) for m in record.moves],
         }
         path = replay_dir / f"replay_{record.seed}.json"
         path.write_text(json.dumps(payload, indent=2))

@@ -58,6 +58,18 @@ def test_missing_out_directory_fails_before_playing(tmp_path, monkeypatch):
     assert not played
 
 
+def test_out_naming_a_directory_fails_before_playing(tmp_path, monkeypatch, capsys):
+    played = []
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: played.append(args))
+    code = main([
+        "play", "--width", "4", "--height", "4", "--mines", "2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert not played
+    assert "is a directory" in capsys.readouterr().err
+
+
 def test_missing_board_arguments_fail():
     assert main(["play", "--games", "3"]) == 2
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minesolve import exact
+from minesolve.constraints import ContradictionError
 from minesolve.engine import Cell
 from minesolve.exact import (
     EXACT_VAR_LIMIT,
     GroupTooLargeError,
-    InconsistentGroupError,
     enumerate_group,
 )
 from minesolve.grouping import Group, partition
@@ -138,8 +138,13 @@ def test_inconsistent_group_rejected():
         constraints=(con([A, B], 2), con([B, C], 0), con([A, C], 1)),
         vars=(A, B, C),
     )
-    with pytest.raises(InconsistentGroupError):
+    with pytest.raises(ContradictionError):
         enumerate_group(group)
+
+
+def test_empty_group_rejected():
+    with pytest.raises(ValueError, match="empty group"):
+        enumerate_group(Group(constraints=(), vars=()))
 
 
 @st.composite
@@ -170,7 +175,7 @@ def random_groups(draw):
 def test_matches_brute_force_property(group):
     counts, cell_counts = naive_tally(group)
     if not counts:
-        with pytest.raises(InconsistentGroupError):
+        with pytest.raises(ContradictionError):
             enumerate_group(group)
         return
     tally = enumerate_group(group)

@@ -1,7 +1,12 @@
 import random
-from collections import Counter, deque
+from collections import deque
 
-from minesolve.grouping import DisjointSet, partition
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minesolve.constraints import ConstraintSystem
+from minesolve.engine import Cell
+from minesolve.grouping import partition
 
 from helpers import cells, con, random_consistent_system, system
 
@@ -80,35 +85,48 @@ def test_group_vars_cover_system_and_stay_disjoint():
         assert union == sys_.variables()
 
 
-def test_union_find_operations_stay_linear_in_total_vars(monkeypatch):
-    calls = Counter()
-    for name in ("union", "find"):
-        def counted(self, *args, _name=name, _real=getattr(DisjointSet, name)):
-            calls[_name] += 1
-            return _real(self, *args)
-
-        monkeypatch.setattr(DisjointSet, name, counted)
-    rng = random.Random(31)
-    for _ in range(25):
-        sys_ = random_consistent_system(rng, rng.randint(3, 14), rng.randint(2, 9))
-        total_vars = sum(len(c.vars) for c in sys_.constraints)
-        calls.clear()
-        partition(sys_)
-        # every union makes two find calls of its own; count only the others
-        outside_finds = calls["find"] - 2 * calls["union"]
-        assert calls["union"] + outside_finds <= 2 * total_vars
-
-
-def test_disjoint_set_merges():
-    dsu = DisjointSet([1, 2, 3, 4])
-    dsu.union(1, 2)
-    dsu.union(3, 4)
-    assert dsu.find(1) == dsu.find(2)
-    assert dsu.find(3) == dsu.find(4)
-    assert dsu.find(1) != dsu.find(3)
-
-
 def test_groups_ordered_by_smallest_cell():
     sys_ = system(con([e, f], 1), con([a, b], 1), con([c, d], 2))
     groups = partition(sys_)
     assert [g.vars[0] for g in groups] == [a, c, e]
+
+
+@st.composite
+def random_systems(draw):
+    """Up to 30 cells over a 6-wide grid and up to 20 constraints; the rhs
+    is any value in range, since grouping ignores it."""
+    n = draw(st.integers(1, 30))
+    variables = [Cell(i // 6, i % 6) for i in range(n)]
+    constraints = set()
+    for _ in range(draw(st.integers(1, 20))):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 8)))
+        constraints.add(con([variables[i] for i in members],
+                            draw(st.integers(0, len(members)))))
+    return ConstraintSystem(frozenset(constraints), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_systems())
+def test_partition_property(sys_):
+    groups = partition(sys_)
+    assert [frozenset(g.vars) for g in groups] == bfs_components(sys_.constraints)
+    placed = [c for g in groups for c in g.constraints]
+    assert len(placed) == len(sys_.constraints)
+    assert set(placed) == sys_.constraints
+    for g in groups:
+        assert list(g.constraints) == sorted(g.constraints, key=lambda c: c.sort_key())
+        assert list(g.vars) == sorted(g.vars)
+        assert all(c.vars <= set(g.vars) for c in g.constraints)
+    firsts = [g.vars[0] for g in groups]
+    assert firsts == sorted(firsts)
+
+
+def test_long_chain_is_one_group_without_recursion():
+    # 10,000 cells far exceed the default recursion limit of 1000, so a
+    # recursive walk would raise RecursionError here
+    chain = [Cell(i // 100, i % 100) for i in range(10_000)]
+    sys_ = system(*(con([u, v], 1) for u, v in zip(chain, chain[1:])))
+    groups = partition(sys_)
+    assert len(groups) == 1
+    assert groups[0].vars == tuple(sorted(chain))
+    assert len(groups[0].constraints) == len(chain) - 1

@@ -1,10 +1,12 @@
 import json
 import math
+from functools import partial
 
 import jsonschema
 import numpy as np
 import pytest
 
+from minesolve import harness
 from minesolve.engine import BoardSpec
 from minesolve.harness import (
     REPORT_SCHEMA,
@@ -79,6 +81,10 @@ def test_replay_logs_for_lost_games(tmp_path):
     assert len(files) == len(losses)
     payload = json.loads(files[0].read_text())
     assert payload["moves"][-1]["result"] == "boom"
+    first = payload["moves"][0]
+    assert list(first) == ["cell", "kind", "pipeline_depth", "prob", "move_ms", "result"]
+    record = next(r for r in report.records if r.seed == payload["seed"])
+    assert first["cell"] == list(record.moves[0].cell)
 
 
 def test_all_mine_board_is_won_without_moves():
@@ -175,6 +181,37 @@ def test_worker_count_env_override(monkeypatch):
     monkeypatch.delenv("MINESOLVE_THREADS")
     assert worker_count(5) == 5
     assert worker_count() >= 1
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its arguments in `calls`
+    and maps in this process, so no worker is ever started."""
+
+    def __init__(self, calls, max_workers):
+        self.call = {"max_workers": max_workers}
+        calls.append(self.call)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        items = list(iterable)
+        self.call["chunks"] = math.ceil(len(items) / chunksize)
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, games", [(64, 40), (2, 48), (5, 33)])
+def test_pool_never_asks_for_more_workers_than_chunks(monkeypatch, workers, games):
+    calls = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", partial(_InProcessPool, calls))
+    report = run_batch(TINY, games=games, base_seed=11, workers=workers)
+    [call] = calls
+    assert call["max_workers"] == min(workers, call["chunks"])
+    assert [g.seed for g in report.per_game] == list(range(11, 11 + games))
+    assert report.wins == games
 
 
 def test_invalid_game_count_rejected():
