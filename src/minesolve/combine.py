@@ -121,8 +121,13 @@ def combine(tallies: Sequence[GroupTally],
         # weight of every assignment in which this group takes k mines
         kw = [(k, x) for k, w in enumerate(weights[g])
               if w and (x := _coef(prefix[g], suffix[g + 1], hi - k))]
+        # cells of one box share a row object, so each row is fused once
+        fused: dict[int, float] = {}
         for cell, row in zip(tally.cells, tally.cell_counts):
-            probs[cell] = sum(row[k] * x for k, x in kw) / w_total
+            p = fused.get(id(row))
+            if p is None:
+                p = fused[id(row)] = sum(row[k] * x for k, x in kw) / w_total
+            probs[cell] = p
 
     if not u:
         return probs, 0.0

@@ -6,21 +6,29 @@ is the mine. Groups are small (the reduction and decomposition stages keep
 them that way), so a pruned depth-first search over boxes of cells with
 the same constraints is exact and fast. It is plain Python: exact-mode
 play never loads numpy.
+
+Most groups met in play repeat a box structure counted earlier in the
+process (the same boxes, sizes and right-hand sides on other cells), so
+the counts of the MEMO_LIMIT most recently used structures are kept and
+reused. A structure fixes every count, so a reused tally is the one a
+fresh search would give.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
 from time import monotonic
 
-from .constraints import ContradictionError
+from .constraints import Constraint, ContradictionError
 from .engine import Cell
 from .grouping import Group
 
-# Past ~22 variables exact counting stops paying for itself within the move
-# budget: `full` mode samples such a group, and `exact` mode takes the
-# density estimate for the guess.
+# Larger groups are refused: `full` mode samples such a group, and `exact`
+# mode takes the density estimate for the guess. The limit is not a cost
+# bound: ROADMAP item 2 counted every group of thousands of games, up to
+# 55 cells in 7.5 ms. It stays until that item lifts it.
 EXACT_VAR_LIMIT = 22
 
 # Hard cap on search-tree branch points, so a loosely constrained group is
@@ -31,6 +39,11 @@ CHECK_EVERY_NODES = 4096
 
 # _BINOMIALS[s][j] = C(s, j): the ways to place j mines in a box of s cells
 _BINOMIALS = [[comb(s, j) for j in range(s + 1)] for s in range(EXACT_VAR_LIMIT + 1)]
+
+# box structures whose counts are kept: (counts, one row per box) by
+# structure, least recently used first
+MEMO_LIMIT = 256
+_memo: OrderedDict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = OrderedDict()
 
 
 class GroupTooLargeError(ValueError):
@@ -71,6 +84,11 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     CHECK_EVERY_NODES branch points; passing it, or MAX_NODES branch
     points, raises GroupTooLargeError so the caller can fall back. A
     group with no satisfying assignment raises ContradictionError.
+
+    The structure key is each box's constraint indices and size, in
+    search order, plus every constraint's rhs. A structure found among
+    the MEMO_LIMIT most recently counted ones is not searched again: its
+    tally is built from the kept counts and reports nodes_visited 0.
     """
     n = len(group.vars)
     if n == 0:
@@ -79,7 +97,6 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
         raise GroupTooLargeError(f"{n} variables exceeds limit {EXACT_VAR_LIMIT}")
     if deadline is not None and monotonic() > deadline:
         raise GroupTooLargeError("exact enumeration ran past its deadline")
-    max_nodes = MAX_NODES
 
     # a cell's constraint indices; cells with equal indices form a box
     constraints = group.constraints
@@ -94,15 +111,41 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
         boxes.setdefault(key, []).append(cell)
     # most-constrained first; the sort is stable, so ties keep cell order
     order = sorted(boxes, key=len, reverse=True)
+    sizes = [len(boxes[key]) for key in order]
 
+    structure = (tuple(zip(order, sizes)), tuple(c.rhs for c in constraints))
+    kept = _memo.get(structure)
+    if kept is None:
+        counts, box_rows, nodes = _search(constraints, order, sizes, n, deadline)
+        kept = _memo[structure] = (tuple(counts), tuple(map(tuple, box_rows)))
+        if len(_memo) > MEMO_LIMIT:
+            _memo.popitem(last=False)
+    else:
+        nodes = 0
+        _memo.move_to_end(structure)
+    # fresh lists, so a caller editing this tally cannot edit a kept one
+    rows = {key: list(row) for key, row in zip(order, kept[1])}
+    return GroupTally(
+        cells=cells,
+        counts=list(kept[0]),
+        cell_counts=[rows[member[cell]] for cell in cells],
+        nodes_visited=nodes,
+    )
+
+
+def _search(constraints: tuple[Constraint, ...], order: list[tuple[int, ...]],
+            sizes: list[int], n: int,
+            deadline: float | None) -> tuple[list[int], list[list[int]], int]:
+    """(N(k) list, one per-cell count row per box of `order`, terminal
+    states visited): the depth-first count behind enumerate_group."""
+    max_nodes = MAX_NODES
     unassigned = [len(constraint.vars) for constraint in constraints]
     # plan[step]: the box's (constraint, rhs, least sum that keeps rhs
     # reachable once the box is assigned) checks, its constraints, its
     # totals (sum over leaves with k mines of weight * mines in the box),
     # its binomials and its size
     plan = []
-    for key in order:
-        size = len(boxes[key])
+    for key, size in zip(order, sizes):
         check = []
         for ci in key:
             unassigned[ci] -= size
@@ -163,13 +206,8 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
             f"group over {n} cells has no satisfying assignment"
         )
     top = len(counts)
-    rows = {
-        key: totals[:top] if size == 1 else [x // size for x in totals[:top]]
-        for key, (_, _, totals, _, size) in zip(order, plan)
-    }
-    return GroupTally(
-        cells=cells,
-        counts=counts,
-        cell_counts=[rows[member[cell]] for cell in cells],
-        nodes_visited=dead_ends + leaves,
-    )
+    box_rows = [
+        totals[:top] if size == 1 else [x // size for x in totals[:top]]
+        for _, _, totals, _, size in plan
+    ]
+    return counts, box_rows, dead_ends + leaves

@@ -3,8 +3,8 @@
 Constraints that share a variable must be counted together; constraints in
 different connected components are independent and can be tallied
 separately. Components are found by one walk from cell to constraint to
-cell over a cell -> constraints index, with an explicit stack, and are
-ordered deterministically by their smallest cell.
+cell over a cell -> constraint indices map, with an explicit stack, and
+are ordered deterministically by their smallest cell.
 """
 
 from __future__ import annotations
@@ -25,32 +25,36 @@ class Group:
 
 def partition(system: ConstraintSystem) -> list[Group]:
     """Split into variable-disjoint groups, ordered by smallest cell."""
-    touching: dict[Cell, list[Constraint]] = {}
-    for constraint in system.constraints:
+    # constraints in sort-key order, so each group's ascending indices
+    # list its constraints in that order too
+    constraints = sorted(system.constraints, key=Constraint.sort_key)
+    touching: dict[Cell, list[int]] = {}
+    for ci, constraint in enumerate(constraints):
         for cell in constraint.vars:
-            touching.setdefault(cell, []).append(constraint)
+            touching.setdefault(cell, []).append(ci)
     seen: set[Cell] = set()
-    taken: set[Constraint] = set()
+    taken = [False] * len(constraints)
     groups = []
     for start in sorted(touching):
         if start in seen:
             continue
         seen.add(start)
-        stack, cells, constraints = [start], [], []
+        stack, cells, taking = [start], [], []
         while stack:
             cell = stack.pop()
             cells.append(cell)
-            for constraint in touching[cell]:
-                if constraint in taken:
+            for ci in touching[cell]:
+                if taken[ci]:
                     continue
-                taken.add(constraint)
-                constraints.append(constraint)
-                for other in constraint.vars:
+                taken[ci] = True
+                taking.append(ci)
+                for other in constraints[ci].vars:
                     if other not in seen:
                         seen.add(other)
                         stack.append(other)
+        taking.sort()
         groups.append(Group(
-            constraints=tuple(sorted(constraints, key=Constraint.sort_key)),
+            constraints=tuple(constraints[ci] for ci in taking),
             vars=tuple(sorted(cells)),
         ))
     return groups

@@ -93,10 +93,10 @@ def _queue_safe(state: GameState, safe: set[Cell]) -> Cell:
     return queue.cells[-1]
 
 
-def _view_seed(state: GameState) -> int:
+def _view_seed(revealed: list[bool]) -> int:
     """Digest of the revealed mask: a sampler seed that depends only on
     what the solver can see, not on how many moves led there."""
-    return int.from_bytes(blake2b(bytes(state.revealed), digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(bytes(revealed), digest_size=8).digest(), "big")
 
 
 class MoveKind(Enum):
@@ -253,7 +253,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         fused, depth = _probability_map(
             reduced, sea_size, remaining, config.mode,
             deadline=t0 + budget_s - min(_BUDGET_RESERVE_S, budget_s / 4),
-            view_seed=_view_seed(state),
+            revealed=state.revealed,
         )
     if fused is None:
         fused = _heuristic_probs(reduced, sea_size, remaining)
@@ -271,15 +271,15 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
 
 def _probability_map(reduced: ConstraintSystem, sea_size: int,
                      remaining_mines: int, mode: str,
-                     deadline: float, view_seed: int,
+                     deadline: float, revealed: list[bool],
                      ) -> tuple[Optional[tuple[dict[Cell, float], float]], str]:
     """Tally every group and fuse the tallies with the mine budget through
     `combine`. Returns ((probs, sea_prob), depth), or (None, "fallback")
     when no usable map exists.
 
     `full` mode samples the groups too large to count with whatever time
-    is left. `exact` mode is `full` without the sampler: an oversized
-    group leaves it without a map."""
+    is left, seeded from the `revealed` mask. `exact` mode is `full`
+    without the sampler: an oversized group leaves it without a map."""
     tallies = []
     oversized: list[tuple[int, Group]] = []
     for idx, group in enumerate(partition(reduced)):
@@ -297,7 +297,7 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
         try:
             tallies.append(sample_group(
                 group, deadline=monotonic() + share,
-                rng=derive_seed(view_seed, idx),
+                rng=derive_seed(_view_seed(revealed), idx),
             ))
         except SamplingStarvedError:
             return None, "fallback"

@@ -1,20 +1,30 @@
-"""Session-wide fixtures for the expensive game batches.
+"""Session-wide fixtures for the expensive game batches, and a fresh
+count memo for every test.
 
-The acceptance criteria and the slow policy invariants share these so the
-games are played once per session. Seeds are fixed, so win/loss outcomes
-are identical on every run.
+The acceptance criteria and the slow policy invariants share the batches
+so the games are played once per session. Seeds are fixed, so win/loss
+outcomes are identical on every run.
 """
 
 import random
 import time
+from collections import OrderedDict
 
 import pytest
 
+from minesolve import exact
 from minesolve.harness import run_batch
 from minesolve.oracle import exact_board_probabilities
 from minesolve.policy import SolverConfig
 
 from helpers import pipeline_probability_map, random_position
+
+
+@pytest.fixture(autouse=True)
+def empty_count_memo(monkeypatch):
+    """Each test starts with no kept box structures, so a test of the
+    search itself never reuses a count an earlier test made."""
+    monkeypatch.setattr(exact, "_memo", OrderedDict())
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import OrderedDict
 from itertools import product
 
 import pytest
@@ -239,7 +240,72 @@ def test_node_cap_raises(monkeypatch):
     assert len(memberships) == len(group.vars)
     assert enumerate_group(group).nodes_visited > 2 * exact.CHECK_EVERY_NODES
     monkeypatch.setattr(exact, "MAX_NODES", exact.CHECK_EVERY_NODES)
+    monkeypatch.setattr(exact, "_memo", OrderedDict())  # search, not reuse
     start = time.monotonic()
     with pytest.raises(GroupTooLargeError):
         enumerate_group(group)
     assert time.monotonic() - start < 1.0
+
+
+def relabelled(group: Group, relabel) -> Group:
+    """The group with every cell renamed by `relabel`."""
+    return group_of(*(con([relabel(v) for v in c.vars], c.rhs) for c in group.constraints))
+
+
+def cold_count(group: Group):
+    exact._memo.clear()
+    return enumerate_group(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(-5, 5), st.integers(-5, 5))
+def test_kept_structure_gives_the_cold_tally(seed, width, dr, dc):
+    # renaming cell (0, i) to (dr + i // width, dc + i % width) keeps the
+    # cells' row-major order, so the copy has the same box structure
+    rng = random.Random(seed)
+    group = random_connected_group(rng, rng.randint(3, 12), rng.randint(2, 6))
+    copy = relabelled(group, lambda v: Cell(dr + v.col // width, dc + v.col % width))
+    cold = cold_count(copy)
+    assert cold.nodes_visited > 0
+    enumerate_group(group)
+    hit = enumerate_group(copy)
+    assert hit.nodes_visited == 0
+    assert hit.cells == cold.cells
+    assert hit.counts == cold.counts
+    assert hit.cell_counts == cold.cell_counts
+
+    # any other renaming: reused or searched, the tally is the cold one
+    order = list(range(len(group.vars)))
+    rng.shuffle(order)
+    shuffled = relabelled(group, lambda v: Cell(0, order[v.col]))
+    cold = cold_count(shuffled)
+    enumerate_group(group)
+    tally = enumerate_group(shuffled)
+    assert tally_dict(tally) == tally_dict(cold)
+    assert tally.counts == cold.counts
+
+
+def test_memo_holds_at_most_its_limit(monkeypatch):
+    monkeypatch.setattr(exact, "MEMO_LIMIT", 3)
+    rng = random.Random(59)
+    for _ in range(40):
+        enumerate_group(random_connected_group(rng, rng.randint(3, 10), rng.randint(2, 5)))
+        assert len(exact._memo) <= 3
+    assert len(exact._memo) == 3
+
+
+def test_editing_a_tally_leaves_later_tallies_alone():
+    group = group_of(*ONE_TWO_ONE)
+    first = cold_count(group)
+    expected = (list(first.counts), [list(row) for row in first.cell_counts])
+    exact._memo.clear()
+    for _ in range(2):  # the searched tally, then a reused one
+        tally = enumerate_group(group)
+        tally.counts[1] = 99
+        tally.counts.append(7)
+        for row in tally.cell_counts:
+            row[0] = 99
+            row.append(7)
+        again = enumerate_group(group)
+        assert again.nodes_visited == 0
+        assert (again.counts, again.cell_counts) == expected
