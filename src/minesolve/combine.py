@@ -20,9 +20,7 @@ probability out.
 
 Tallies are integer tables, counted or sampled alike, so the weights are
 Python integers and each posterior is one integer division: it is
-correctly rounded, and equal posteriors come out as equal floats. It is
-plain Python: a guess whose groups are all counted exactly never loads
-numpy.
+correctly rounded, and equal posteriors come out as equal floats.
 """
 
 from __future__ import annotations

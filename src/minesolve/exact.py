@@ -2,10 +2,11 @@
 
 A group's tally records N(k), the number of satisfying assignments placing
 exactly k mines, and C(cell, k), the number of those in which a given cell
-is the mine. Groups are small (the reduction and decomposition stages keep
-them that way), so a pruned depth-first search over boxes of cells with
-the same constraints is exact and fast. It is plain Python: exact-mode
-play never loads numpy.
+is the mine. Cells in exactly the same constraints form a box, and
+`box_plan` orders a group's boxes for both the exact search here and the
+sampler. Groups are small (the reduction and decomposition stages keep
+them that way), so a pruned depth-first search over the boxes is exact
+and fast.
 
 Most groups met in play repeat a box structure counted earlier in the
 process (the same boxes, sizes and right-hand sides on other cells), so
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from time import monotonic
+from typing import NamedTuple, Sequence
 
 from .constraints import Constraint, ContradictionError
 from .engine import Cell
@@ -37,13 +40,10 @@ MAX_NODES = 1 << 21
 # branch points between deadline and node-cap checks
 CHECK_EVERY_NODES = 4096
 
-# _BINOMIALS[s][j] = C(s, j): the ways to place j mines in a box of s cells
-_BINOMIALS = [[comb(s, j) for j in range(s + 1)] for s in range(EXACT_VAR_LIMIT + 1)]
-
 # box structures whose counts are kept: (counts, one row per box) by
 # structure, least recently used first
 MEMO_LIMIT = 256
-_memo: OrderedDict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = OrderedDict()
+_memo: OrderedDict[tuple, tuple[list[int], list[list[int]]]] = OrderedDict()
 
 
 class GroupTooLargeError(ValueError):
@@ -58,7 +58,7 @@ class GroupTally:
     counts[k] is N(k) for k up to the largest mine count with N(k) > 0;
     cell_counts[i][k] is C(cells[i], k) over the same k, one row per cell
     (cells of one box may share a row). Counted tallies hold the exact
-    numbers; sampled tallies hold summed importance weights, integers that
+    numbers; sampled tallies hold summed path weights, integers that
     estimate the same quantities up to one common scale factor.
     """
 
@@ -69,21 +69,96 @@ class GroupTally:
     nodes_visited: int = 0
 
 
+@lru_cache(maxsize=None)
+def _binomials(size: int) -> tuple[int, ...]:
+    """C(size, j) for j = 0..size: the ways to place j mines in a box of
+    `size` cells."""
+    return tuple(comb(size, j) for j in range(size + 1))
+
+
+class BoxPlan(NamedTuple):
+    """A group's boxes in the order they are assigned.
+
+    member[cell] is the cell's box: the indices of its constraints. Boxes
+    go most-constrained first, ties in cell order.
+    """
+
+    cells: tuple[Cell, ...]
+    member: dict[Cell, tuple[int, ...]]
+    order: list[tuple[int, ...]]
+    sizes: list[int]
+    constraints: tuple[Constraint, ...]
+
+    def steps(self) -> list[tuple[list[tuple[int, int, int]], tuple[int, ...],
+                                  tuple[int, ...], int]]:
+        """Per box, in order: its checks, constraint indices, binomials and
+        size. A check is (constraint index, rhs, least sum that keeps the
+        rhs reachable once the box is assigned), so the box can take j
+        mines for j from the largest `least - sum` to the smallest
+        `rhs - sum`, within [0, size]."""
+        constraints = self.constraints
+        unassigned = [len(constraint.vars) for constraint in constraints]
+        steps = []
+        for key, size in zip(self.order, self.sizes):
+            check = []
+            for ci in key:
+                unassigned[ci] -= size
+                rhs = constraints[ci].rhs
+                check.append((ci, rhs, rhs - unassigned[ci]))
+            steps.append((check, key, _binomials(size), size))
+        return steps
+
+    def box_rows(self, box_totals: list[list[int]], top: int) -> list[list[int]]:
+        """Each box's per-cell count row, to length `top`, from its totals
+        (sum over assignments with k mines of weight * mines in the box):
+        the total over the box size, exact as C(s, j) * j / s = C(s-1, j-1)."""
+        return [[x // size for x in totals[:top]]
+                for totals, size in zip(box_totals, self.sizes)]
+
+    def tally(self, counts: Sequence[int], box_rows: Sequence[Sequence[int]],
+              **fields: int) -> GroupTally:
+        """The tally of N(k) `counts` and each box's row, in fresh lists;
+        the cells of a box share a row."""
+        rows = {key: list(row) for key, row in zip(self.order, box_rows)}
+        member = self.member
+        return GroupTally(
+            cells=self.cells,
+            counts=list(counts),
+            cell_counts=[rows[member[cell]] for cell in self.cells],
+            **fields,
+        )
+
+
+def box_plan(group: Group) -> BoxPlan:
+    """The group's boxes and their search order."""
+    member = {cell: [] for cell in group.vars}
+    for ci, constraint in enumerate(group.constraints):
+        for cell in constraint.vars:
+            member[cell].append(ci)
+    cells = tuple(sorted(group.vars))
+    boxes: dict[tuple[int, ...], list[Cell]] = {}
+    for cell in cells:
+        member[cell] = key = tuple(member[cell])
+        boxes.setdefault(key, []).append(cell)
+    # most-constrained first; the sort is stable, so ties keep cell order
+    order = sorted(boxes, key=len, reverse=True)
+    return BoxPlan(cells, member, order, [len(boxes[key]) for key in order],
+                   group.constraints)
+
+
 def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     """Count every satisfying assignment of the group exactly.
 
-    Cells that belong to exactly the same constraints form a box. Boxes
-    are assigned depth-first, most-constrained first, each taking j mines
-    at once with weight C(size, j); a branch survives only while each
-    constraint's running sum can still reach its rhs. A cell's count is
-    its box's weighted mine total divided by the box size, which is exact
-    because C(s, j) * j / s = C(s - 1, j - 1). nodes_visited counts
-    terminal states (dead ends plus box-level leaves, each standing for
-    one or more solutions), which never exceeds 2^n. `deadline` is an
-    optional time.monotonic() cutoff, checked on entry and every
-    CHECK_EVERY_NODES branch points; passing it, or MAX_NODES branch
-    points, raises GroupTooLargeError so the caller can fall back. A
-    group with no satisfying assignment raises ContradictionError.
+    The group's boxes (`box_plan`) are assigned depth-first, in plan
+    order, each taking j mines at once with weight C(size, j); a branch
+    survives only while each constraint's running sum can still reach its
+    rhs. nodes_visited counts terminal states (dead ends plus box-level
+    leaves, each standing for one or more solutions), which never exceeds
+    2^n. `deadline` is an optional time.monotonic() cutoff, checked on
+    entry and every CHECK_EVERY_NODES branch points; passing it, or
+    MAX_NODES branch points, raises GroupTooLargeError so the caller can
+    fall back. A group with no satisfying assignment raises
+    ContradictionError.
 
     The structure key is each box's constraint indices and size, in
     search order, plus every constraint's rhs. A structure found among
@@ -98,63 +173,33 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     if deadline is not None and monotonic() > deadline:
         raise GroupTooLargeError("exact enumeration ran past its deadline")
 
-    # a cell's constraint indices; cells with equal indices form a box
-    constraints = group.constraints
-    member = {cell: [] for cell in group.vars}
-    for ci, constraint in enumerate(constraints):
-        for cell in constraint.vars:
-            member[cell].append(ci)
-    cells = tuple(sorted(group.vars))
-    boxes: dict[tuple[int, ...], list[Cell]] = {}
-    for cell in cells:
-        member[cell] = key = tuple(member[cell])
-        boxes.setdefault(key, []).append(cell)
-    # most-constrained first; the sort is stable, so ties keep cell order
-    order = sorted(boxes, key=len, reverse=True)
-    sizes = [len(boxes[key]) for key in order]
-
-    structure = (tuple(zip(order, sizes)), tuple(c.rhs for c in constraints))
+    plan = box_plan(group)
+    structure = (tuple(zip(plan.order, plan.sizes)),
+                 tuple(constraint.rhs for constraint in group.constraints))
     kept = _memo.get(structure)
     if kept is None:
-        counts, box_rows, nodes = _search(constraints, order, sizes, n, deadline)
-        kept = _memo[structure] = (tuple(counts), tuple(map(tuple, box_rows)))
+        counts, box_totals, nodes = _search(plan, deadline)
+        kept = _memo[structure] = (counts, plan.box_rows(box_totals, len(counts)))
         if len(_memo) > MEMO_LIMIT:
             _memo.popitem(last=False)
     else:
         nodes = 0
         _memo.move_to_end(structure)
-    # fresh lists, so a caller editing this tally cannot edit a kept one
-    rows = {key: list(row) for key, row in zip(order, kept[1])}
-    return GroupTally(
-        cells=cells,
-        counts=list(kept[0]),
-        cell_counts=[rows[member[cell]] for cell in cells],
-        nodes_visited=nodes,
-    )
+    return plan.tally(*kept, nodes_visited=nodes)
 
 
-def _search(constraints: tuple[Constraint, ...], order: list[tuple[int, ...]],
-            sizes: list[int], n: int,
+def _search(plan: BoxPlan,
             deadline: float | None) -> tuple[list[int], list[list[int]], int]:
-    """(N(k) list, one per-cell count row per box of `order`, terminal
-    states visited): the depth-first count behind enumerate_group."""
+    """(N(k) list, totals per box of the plan, terminal states visited):
+    the depth-first count behind enumerate_group."""
     max_nodes = MAX_NODES
-    unassigned = [len(constraint.vars) for constraint in constraints]
-    # plan[step]: the box's (constraint, rhs, least sum that keeps rhs
-    # reachable once the box is assigned) checks, its constraints, its
-    # totals (sum over leaves with k mines of weight * mines in the box),
-    # its binomials and its size
-    plan = []
-    for key, size in zip(order, sizes):
-        check = []
-        for ci in key:
-            unassigned[ci] -= size
-            rhs = constraints[ci].rhs
-            check.append((ci, rhs, rhs - unassigned[ci]))
-        plan.append((check, key, [0] * (n + 1), _BINOMIALS[size], size))
+    n = len(plan.cells)
+    steps = plan.steps()
+    # per box: sum over leaves with k mines of weight * mines in the box
+    box_totals = [[0] * (n + 1) for _ in steps]
 
-    nb = len(order)
-    sums = [0] * len(constraints)
+    nb = len(steps)
+    sums = [0] * len(plan.constraints)
     counts = [0] * (n + 1)
     held: list[tuple[list[int], int]] = []  # (totals, j) per box given j > 0 mines
     dead_ends = leaves = nodes = 0
@@ -175,7 +220,7 @@ def _search(constraints: tuple[Constraint, ...], order: list[tuple[int, ...]],
                 raise GroupTooLargeError(f"search exceeded {max_nodes} nodes")
             if deadline is not None and monotonic() > deadline:
                 raise GroupTooLargeError("exact enumeration ran past its deadline")
-        check, cis, totals, binom, hi = plan[step]
+        check, cis, binom, hi = steps[step]
         lo = 0
         for ci, rhs, least in check:
             s = sums[ci]
@@ -189,6 +234,7 @@ def _search(constraints: tuple[Constraint, ...], order: list[tuple[int, ...]],
         if lo == 0:
             visit(step + 1, weight, k)
             lo = 1
+        totals = box_totals[step]
         for j in range(lo, hi + 1):
             for ci in cis:
                 sums[ci] += j
@@ -205,9 +251,4 @@ def _search(constraints: tuple[Constraint, ...], order: list[tuple[int, ...]],
         raise ContradictionError(
             f"group over {n} cells has no satisfying assignment"
         )
-    top = len(counts)
-    box_rows = [
-        totals[:top] if size == 1 else [x // size for x in totals[:top]]
-        for _, _, totals, _, size in plan
-    ]
-    return counts, box_rows, dead_ends + leaves
+    return counts, box_totals, dead_ends + leaves

@@ -1,5 +1,6 @@
-"""Only the sampler imports numpy. Play whose guesses are all counted
-exactly, the batch harness and the brute-force oracle never load it."""
+"""No module of the package imports numpy. Play in every mode, sampled
+guesses included, the batch harness and the brute-force oracle run
+without it, and a sampled guess pays no import inside its timed move."""
 
 import ast
 import os
@@ -22,17 +23,34 @@ print("ok")
 
 FULL_SCRIPT = """
 import sys
+sys.modules["numpy"] = None  # any import of numpy now raises
 from minesolve import (Cell, Constraint, Group, SolverConfig, difficulty_spec,
                        play_game, sample_group)
 
 record = play_game(difficulty_spec("simple"), config=SolverConfig(mode="full"), seed=3)
 depths = [m.pipeline_depth for m in record.moves if m.kind == "guess"]
 assert depths and set(depths) == {"exact"}, depths
-assert "numpy" not in sys.modules, "exactly counted full-mode play imported numpy"
 pair = (Cell(0, 0), Cell(0, 1))
 sample_group(Group(constraints=(Constraint(frozenset(pair), 1),), vars=pair),
              max_samples=64, rng=0)
-assert "numpy" in sys.modules
+assert sys.modules["numpy"] is None, "the numpy block was lifted"
+print("ok")
+"""
+
+
+SAMPLED_SCRIPT = """
+import sys
+from minesolve import BoardSpec, SolverConfig, exact, play_game
+
+exact.EXACT_VAR_LIMIT = 3  # send nearly every group to the sampler
+config = SolverConfig(budget_ms=20, mode="full")
+depths = []
+for seed in range(5):
+    record = play_game(BoardSpec(16, 16, 40), config, seed=seed)
+    assert max(record.move_times_ms()) <= 20 + 50, record.move_times_ms()
+    depths += [m.pipeline_depth for m in record.moves if m.kind == "guess"]
+assert "sampled" in depths, depths
+assert "numpy" not in sys.modules, "sampled play imported numpy"
 print("ok")
 """
 
@@ -71,11 +89,15 @@ def test_exactly_counted_full_mode_game_leaves_numpy_unloaded():
     run_fresh(FULL_SCRIPT)
 
 
+def test_first_sampled_guesses_keep_a_small_budget_without_numpy():
+    run_fresh(SAMPLED_SCRIPT)
+
+
 def test_harness_and_oracle_leave_numpy_unloaded():
     run_fresh(HARNESS_SCRIPT)
 
 
-def test_only_the_sampler_imports_numpy():
+def test_no_module_imports_numpy():
     # every import statement counts, those under TYPE_CHECKING included
     importers = set()
     for path in Path(minesolve.__file__).resolve().parent.glob("*.py"):
@@ -88,7 +110,7 @@ def test_only_the_sampler_imports_numpy():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
-    assert importers == {"sampling.py"}
+    assert importers == set()
 
 
 def test_lazy_names_are_exported():

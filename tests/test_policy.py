@@ -220,11 +220,6 @@ def test_moves_respect_budget_with_slack():
 
 @pytest.mark.parametrize("budget_ms", [20, 100])
 def test_small_budgets_respect_deadline_and_still_count(budget_ms):
-    # Known defect: the first *sampled* guess in a process imports numpy
-    # inside its timed move (~150 ms), so a budget under that is broken
-    # once per process. Import it first so only the solver is timed.
-    import numpy  # noqa: F401
-
     depths = []
     for seed in range(20):
         record = play_game(BoardSpec(16, 16, 40), SolverConfig(budget_ms=budget_ms),

@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from minesolve.engine import Cell
 from minesolve.exact import enumerate_group
 from minesolve.grouping import Group
-from minesolve.sampling import _importance_batch, group_arrays, sample_group
+from minesolve.sampling import sample_group
 
 from helpers import A, B, cells, con, marginals, random_connected_group, tally_dict
 
@@ -81,8 +82,8 @@ def test_identical_seed_and_budget_identical_tally():
 
 
 def test_tallies_are_python_ints():
-    # importance weights are powers of two, so the summed tallies are
-    # integers and come out as exact Python ints, trimmed like counted ones
+    # path weights and box totals over box sizes are integers, so the
+    # tallies come out as exact Python ints, trimmed like counted ones
     rng = random.Random(89)
     tally = sample_group(random_connected_group(rng, 10, 4), max_samples=4096, rng=3)
     assert tally.counts[-1] > 0
@@ -105,21 +106,34 @@ def test_deadline_stops_early():
     tally = sample_group(group, max_samples=1 << 22, deadline=start + 0.05, rng=2)
     elapsed = time.monotonic() - start
     assert tally.samples_used < 1 << 22
-    assert elapsed < 0.05 + 0.1  # deadline plus one batch of slack
+    assert elapsed < 0.05 + 0.1  # deadline plus one draw and scheduling slack
 
 
-def test_recorded_assignments_satisfy_constraints():
-    # every assignment a batch keeps meets each constraint exactly
+def test_sampler_credits_only_satisfiable_counts():
+    # a draw is recorded only when it meets every constraint, so each k
+    # and (cell, k) the sampler credits has a positive exact count
     rng = random.Random(83)
-    group = random_connected_group(rng, 10, 4)
-    order = sorted(group.vars)
-    a, rhs = group_arrays(group, order)
-    vals, weights = _importance_batch(a, rhs, 4096, np.random.default_rng(3))
-    assert len(vals) == len(weights) >= 1000
-    pos = {cell: i for i, cell in enumerate(order)}
-    for row in vals:
-        for constraint in group.constraints:
-            assert sum(int(row[pos[v]]) for v in constraint.vars) == constraint.rhs
+    for trial in range(20):
+        group = random_connected_group(rng, rng.randint(8, 12), rng.randint(3, 6))
+        exact = enumerate_group(group)
+        sampled = sample_group(group, max_samples=1024, rng=trial)
+        assert sampled.counts[-1] > 0
+        for k, n in enumerate(sampled.counts):
+            assert n == 0 or (k < len(exact.counts) and exact.counts[k] > 0)
+        exact_cells = tally_dict(exact)
+        for key, n in tally_dict(sampled).items():
+            assert n == 0 or exact_cells.get(key, 0) > 0
+
+
+def test_all_forced_boxes_are_sampled_exactly():
+    # one constraint over 30 cells is one box whose mine count is forced,
+    # so every draw takes the one path, weighted by all C(30, 3) placements
+    wide = [Cell(0, i) for i in range(30)]
+    group = simple_group(con(wide, 3), variables=wide)
+    draws = 100
+    tally = sample_group(group, max_samples=draws, rng=11)
+    assert tally.counts == [0, 0, 0, draws * math.comb(30, 3)]
+    assert all(row == [0, 0, 0, draws * math.comb(29, 2)] for row in tally.cell_counts)
 
 
 def test_importance_never_starves_on_feasible_group():
