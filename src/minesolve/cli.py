@@ -37,8 +37,6 @@ def _add_board_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; game i uses seed+i")
     parser.add_argument("--budget-ms", type=float, default=5000.0)
-    parser.add_argument("--first-move", default="center",
-                        help="center, corner, or R,C")
     parser.add_argument("--out", type=Path, help="write the report here")
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default="text")
@@ -97,9 +95,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.out.is_dir():
                 raise ValueError(f"--out {args.out} is a directory")
         config = SolverConfig(budget_ms=args.budget_ms,
-                              mode=getattr(args, "mode", "full"),
-                              first_move=args.first_move)
+                              mode=getattr(args, "mode", "full"))
         if args.command == "play":
+            if args.replay_dir is not None:
+                try:
+                    args.replay_dir.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise ValueError(
+                        f"--replay-dir {args.replay_dir}: {exc.strerror}") from None
             report = run_batch(
                 board, args.games, base_seed=args.seed, config=config,
                 replay_dir=args.replay_dir,

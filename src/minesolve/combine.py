@@ -14,8 +14,9 @@ which is zero whenever the leftover is negative or exceeds the sea - that
 zeroing is what rules out impossible per-group mine counts. Cell marginals
 under these weights come from prefix and suffix convolutions of the
 groups' mine-count lists rather than from enumerating vectors; the two
-agree exactly, and the explicit enumerator is kept as a cross-check. Every
-sea cell has the same posterior, so the sea is one size in and one
+agree exactly, and the explicit enumerator is kept as a cross-check. The
+cells of a box share one posterior, the box's weighted mine total over
+its size, and so do the sea cells: the sea is one size in and one
 probability out.
 
 Tallies are integer tables, counted or sampled alike, so the weights are
@@ -73,10 +74,11 @@ def _coef(a: list, b: list, t: int):
 def _check_disjoint(tallies: Sequence[GroupTally]) -> None:
     seen: set[Cell] = set()
     for tally in tallies:
-        overlap = seen.intersection(tally.cells)
+        cells = set().union(*tally.boxes)
+        overlap = seen & cells
         if overlap:
             raise ValueError(f"groups share cells: {sorted(overlap)}")
-        seen.update(tally.cells)
+        seen |= cells
 
 
 def combine(tallies: Sequence[GroupTally],
@@ -119,13 +121,10 @@ def combine(tallies: Sequence[GroupTally],
         # weight of every assignment in which this group takes k mines
         kw = [(k, x) for k, w in enumerate(weights[g])
               if w and (x := _coef(prefix[g], suffix[g + 1], hi - k))]
-        # cells of one box share a row object, so each row is fused once
-        fused: dict[int, float] = {}
-        for cell, row in zip(tally.cells, tally.cell_counts):
-            p = fused.get(id(row))
-            if p is None:
-                p = fused[id(row)] = sum(row[k] * x for k, x in kw) / w_total
-            probs[cell] = p
+        for box, row in zip(tally.boxes, tally.box_mines):
+            p = sum(row[k] * x for k, x in kw) / (w_total * len(box))
+            for cell in box:
+                probs[cell] = p
 
     if not u:
         return probs, 0.0
@@ -145,7 +144,7 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
     m, u = ctx.remaining_mines, ctx.sea_size
 
     w_total = 0
-    numer = {cell: 0 for t in tallies for cell in t.cells}
+    numer = [[0] * len(t.boxes) for t in tallies]  # per group, per box
     sea_numer = 0
     for vector in product(*(range(len(t.counts)) for t in tallies)):
         leftover = m - sum(vector)
@@ -158,14 +157,16 @@ def combine_by_enumeration(tallies: Sequence[GroupTally],
             continue
         w_total += weight
         sea_numer += weight * leftover
-        for tally, k in zip(tallies, vector):
+        for tally, k, box_numer in zip(tallies, vector, numer):
             partial = weight // tally.counts[k]
-            for cell, row in zip(tally.cells, tally.cell_counts):
-                numer[cell] += partial * row[k]
+            for b, row in enumerate(tally.box_mines):
+                box_numer[b] += partial * row[k]
     if w_total == 0:
         raise CombineInfeasibleError(
             f"no assignment places {m} mines over these groups and {u} sea cells"
         )
 
-    probs = {cell: float(Fraction(v, w_total)) for cell, v in numer.items()}
+    probs = {cell: float(Fraction(v, w_total * len(box)))
+             for tally, box_numer in zip(tallies, numer)
+             for box, v in zip(tally.boxes, box_numer) for cell in box}
     return probs, float(Fraction(sea_numer, w_total * u)) if u else 0.0

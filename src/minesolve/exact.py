@@ -1,8 +1,8 @@
-"""Exhaustive per-group model counting, tallied by mine count and by cell.
+"""Exhaustive per-group model counting, tallied by mine count and by box.
 
-A group's tally records N(k), the number of satisfying assignments placing
-exactly k mines, and C(cell, k), the number of those in which a given cell
-is the mine. Cells in exactly the same constraints form a box, and
+Cells in exactly the same constraints form a box. A group's tally records
+N(k), the number of satisfying assignments placing exactly k mines, and
+per box the total number of mines those assignments put in it.
 `box_plan` orders a group's boxes for both the exact search here and the
 sampler. Groups are small (the reduction and decomposition stages keep
 them that way), so a pruned depth-first search over the boxes is exact
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from time import monotonic
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .constraints import Constraint, ContradictionError
 from .engine import Cell
@@ -40,7 +40,7 @@ MAX_NODES = 1 << 21
 # branch points between deadline and node-cap checks
 CHECK_EVERY_NODES = 4096
 
-# box structures whose counts are kept: (counts, one row per box) by
+# box structures whose counts are kept: (counts, mine totals per box) by
 # structure, least recently used first
 MEMO_LIMIT = 256
 _memo: OrderedDict[tuple, tuple[list[int], list[list[int]]]] = OrderedDict()
@@ -55,16 +55,19 @@ class GroupTooLargeError(ValueError):
 class GroupTally:
     """Satisfying-assignment counts for one group, as integer tables.
 
+    boxes holds the group's boxes (the cells of each) in plan order.
     counts[k] is N(k) for k up to the largest mine count with N(k) > 0;
-    cell_counts[i][k] is C(cells[i], k) over the same k, one row per cell
-    (cells of one box may share a row). Counted tallies hold the exact
-    numbers; sampled tallies hold summed path weights, integers that
-    estimate the same quantities up to one common scale factor.
+    box_mines[b][k] is the total number of mines that the assignments
+    with k mines put in boxes[b], over the same k, so each cell of the
+    box is the mine in box_mines[b][k] / len(boxes[b]) of them. Counted
+    tallies hold the exact numbers; sampled tallies hold summed path
+    weights, integers that estimate the same quantities up to one common
+    scale factor.
     """
 
-    cells: tuple[Cell, ...]
+    boxes: tuple[tuple[Cell, ...], ...]
     counts: list[int]
-    cell_counts: list[list[int]]
+    box_mines: list[list[int]]
     samples_used: int = 0
     nodes_visited: int = 0
 
@@ -77,16 +80,12 @@ def _binomials(size: int) -> tuple[int, ...]:
 
 
 class BoxPlan(NamedTuple):
-    """A group's boxes in the order they are assigned.
+    """A group's boxes in the order they are assigned, each with its key:
+    the indices of the constraints its cells are in. Boxes go
+    most-constrained first, ties in cell order."""
 
-    member[cell] is the cell's box: the indices of its constraints. Boxes
-    go most-constrained first, ties in cell order.
-    """
-
-    cells: tuple[Cell, ...]
-    member: dict[Cell, tuple[int, ...]]
-    order: list[tuple[int, ...]]
-    sizes: list[int]
+    boxes: tuple[tuple[Cell, ...], ...]
+    keys: list[tuple[int, ...]]
     constraints: tuple[Constraint, ...]
 
     def steps(self) -> list[tuple[list[tuple[int, int, int]], tuple[int, ...],
@@ -99,7 +98,8 @@ class BoxPlan(NamedTuple):
         constraints = self.constraints
         unassigned = [len(constraint.vars) for constraint in constraints]
         steps = []
-        for key, size in zip(self.order, self.sizes):
+        for key, box in zip(self.keys, self.boxes):
+            size = len(box)
             check = []
             for ci in key:
                 unassigned[ci] -= size
@@ -108,25 +108,13 @@ class BoxPlan(NamedTuple):
             steps.append((check, key, _binomials(size), size))
         return steps
 
-    def box_rows(self, box_totals: list[list[int]], top: int) -> list[list[int]]:
-        """Each box's per-cell count row, to length `top`, from its totals
-        (sum over assignments with k mines of weight * mines in the box):
-        the total over the box size, exact as C(s, j) * j / s = C(s-1, j-1)."""
-        return [[x // size for x in totals[:top]]
-                for totals, size in zip(box_totals, self.sizes)]
-
-    def tally(self, counts: Sequence[int], box_rows: Sequence[Sequence[int]],
+    def tally(self, counts: list[int], box_mines: list[list[int]],
               **fields: int) -> GroupTally:
-        """The tally of N(k) `counts` and each box's row, in fresh lists;
-        the cells of a box share a row."""
-        rows = {key: list(row) for key, row in zip(self.order, box_rows)}
-        member = self.member
-        return GroupTally(
-            cells=self.cells,
-            counts=list(counts),
-            cell_counts=[rows[member[cell]] for cell in self.cells],
-            **fields,
-        )
+        """The tally of N(k) `counts` and each box's mine totals, cut to
+        len(counts), in fresh lists."""
+        top = len(counts)
+        return GroupTally(self.boxes, counts[:],
+                          [row[:top] for row in box_mines], **fields)
 
 
 def box_plan(group: Group) -> BoxPlan:
@@ -135,14 +123,12 @@ def box_plan(group: Group) -> BoxPlan:
     for ci, constraint in enumerate(group.constraints):
         for cell in constraint.vars:
             member[cell].append(ci)
-    cells = tuple(sorted(group.vars))
     boxes: dict[tuple[int, ...], list[Cell]] = {}
-    for cell in cells:
-        member[cell] = key = tuple(member[cell])
-        boxes.setdefault(key, []).append(cell)
+    for cell in sorted(group.vars):
+        boxes.setdefault(tuple(member[cell]), []).append(cell)
     # most-constrained first; the sort is stable, so ties keep cell order
-    order = sorted(boxes, key=len, reverse=True)
-    return BoxPlan(cells, member, order, [len(boxes[key]) for key in order],
+    keys = sorted(boxes, key=len, reverse=True)
+    return BoxPlan(tuple(tuple(boxes[key]) for key in keys), keys,
                    group.constraints)
 
 
@@ -174,12 +160,12 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
         raise GroupTooLargeError("exact enumeration ran past its deadline")
 
     plan = box_plan(group)
-    structure = (tuple(zip(plan.order, plan.sizes)),
+    structure = (tuple(zip(plan.keys, map(len, plan.boxes))),
                  tuple(constraint.rhs for constraint in group.constraints))
     kept = _memo.get(structure)
     if kept is None:
-        counts, box_totals, nodes = _search(plan, deadline)
-        kept = _memo[structure] = (counts, plan.box_rows(box_totals, len(counts)))
+        counts, box_totals, nodes = _search(plan, n, deadline)
+        kept = _memo[structure] = (counts, box_totals)
         if len(_memo) > MEMO_LIMIT:
             _memo.popitem(last=False)
     else:
@@ -188,12 +174,12 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     return plan.tally(*kept, nodes_visited=nodes)
 
 
-def _search(plan: BoxPlan,
+def _search(plan: BoxPlan, n: int,
             deadline: float | None) -> tuple[list[int], list[list[int]], int]:
-    """(N(k) list, totals per box of the plan, terminal states visited):
-    the depth-first count behind enumerate_group."""
+    """(N(k) list, mine totals per box of the plan, terminal states
+    visited) over the plan's n cells: the depth-first count behind
+    enumerate_group."""
     max_nodes = MAX_NODES
-    n = len(plan.cells)
     steps = plan.steps()
     # per box: sum over leaves with k mines of weight * mines in the box
     box_totals = [[0] * (n + 1) for _ in steps]

@@ -118,10 +118,8 @@ def wilson_interval(wins: int, games: int, z: float = 1.959963984540054,
     return (min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half)))
 
 
-def worker_count(workers: Optional[int] = None) -> int:
-    """Explicit argument, else MINESOLVE_THREADS, else the CPU count."""
-    if workers is not None:
-        return max(1, workers)
+def worker_count() -> int:
+    """MINESOLVE_THREADS, else the CPU count."""
     env = os.environ.get("MINESOLVE_THREADS")
     if env:
         return max(1, int(env))
@@ -137,7 +135,6 @@ def _play_one(spec: BoardSpec, config: SolverConfig, keep: bool,
 
 def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
               config: Optional[SolverConfig] = None,
-              workers: Optional[int] = None,
               keep_records: bool = False,
               replay_dir: Optional[Union[str, Path]] = None) -> BatchReport:
     """Play `games` seeded games under `config` and aggregate win/time
@@ -150,7 +147,7 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
 
     seeds = range(base_seed, base_seed + games)
     play = partial(_play_one, spec, config, keep)
-    n_workers = worker_count(workers)
+    n_workers = worker_count()
     if n_workers <= 1 or games < _MIN_GAMES_FOR_POOL:
         results = map(play, seeds)
     else:
@@ -271,15 +268,13 @@ def paired_delta(mode_a: str, wins_a: Sequence[bool],
 
 def run_ablation(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
                  modes: Sequence[str] = ("logic", "exact", "full"),
-                 config: Optional[SolverConfig] = None,
-                 workers: Optional[int] = None) -> AblationReport:
+                 config: Optional[SolverConfig] = None) -> AblationReport:
     """Same seeds under each pipeline truncation, plus paired win deltas;
     every setting but the mode comes from `config`."""
     spec = difficulty_spec(board) if isinstance(board, str) else board
     config = config or SolverConfig()
     reports = {
-        mode: run_batch(spec, games, base_seed, config=replace(config, mode=mode),
-                        workers=workers)
+        mode: run_batch(spec, games, base_seed, config=replace(config, mode=mode))
         for mode in modes
     }
     deltas = []

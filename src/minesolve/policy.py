@@ -21,7 +21,7 @@ from enum import Enum
 from hashlib import blake2b
 from operator import itemgetter
 from time import monotonic
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .combine import BoardContext, CombineInfeasibleError, combine
 from .constraints import (
@@ -116,7 +116,6 @@ def _checked_budget(budget_ms: float) -> float:
 class SolverConfig:
     budget_ms: float = 5000.0
     mode: str = "full"
-    first_move: Union[str, tuple[int, int]] = "center"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -129,7 +128,6 @@ class MoveDecision:
     kind: MoveKind
     cell: Cell
     prob: float
-    elapsed_ms: float
     pipeline_depth: str
 
 
@@ -174,25 +172,6 @@ def argmin_cell(probs: Mapping[Cell, float]) -> tuple[Cell, float]:
     return cell, prob
 
 
-def _opening_cell(spec: BoardSpec, config: SolverConfig) -> Cell:
-    choice = config.first_move
-    if choice == "center":
-        return first_move(spec)
-    if choice == "corner":
-        return Cell(0, 0)
-    if isinstance(choice, str):
-        try:
-            r, c = (int(x) for x in choice.split(","))
-        except ValueError:
-            raise ValueError(f"bad first_move {choice!r}") from None
-    else:
-        r, c = choice
-    cell = Cell(r, c)
-    if not spec.in_bounds(cell):
-        raise ValueError(f"first_move {cell} out of bounds")
-    return cell
-
-
 def _heuristic_probs(system: ConstraintSystem, sea_size: int,
                      remaining_mines: int) -> tuple[dict[Cell, float], float]:
     """(probs, sea_prob) estimated without counting: a group cell gets the
@@ -224,22 +203,19 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         raise InvalidMoveError("game is over")
     spec = state.spec
 
-    def done(kind: MoveKind, cell: Cell, prob: float, depth: str) -> MoveDecision:
-        return MoveDecision(kind, cell, prob, (monotonic() - t0) * 1000.0, depth)
-
     if state.revealed_count() == 0:
-        cell = _opening_cell(spec, config)
         prob = 0.0 if spec.first_click_safe else spec.mine_count / spec.cells
-        return done(MoveKind.FIRST_MOVE, cell, prob, "logic")
+        return MoveDecision(MoveKind.FIRST_MOVE, first_move(spec), prob, "logic")
 
     queued = _queued_safe(state)
     if queued is not None:
-        return done(MoveKind.REVEAL_SAFE, queued, 0.0, "logic")
+        return MoveDecision(MoveKind.REVEAL_SAFE, queued, 0.0, "logic")
 
     reduced = reduce_system(extract_constraints(state))
     safe, found_mines = deductions(reduced)
     if safe:
-        return done(MoveKind.REVEAL_SAFE, _queue_safe(state, safe), 0.0, "logic")
+        return MoveDecision(MoveKind.REVEAL_SAFE, _queue_safe(state, safe), 0.0,
+                            "logic")
 
     remaining = spec.mine_count - len(found_mines)
     # the sea: covered cells that are neither assigned nor in any group
@@ -266,7 +242,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
                         if not seen and c not in placed)
         probs[sea_cell] = sea_prob
     cell, prob = argmin_cell(probs)
-    return done(MoveKind.GUESS, cell, prob, depth)
+    return MoveDecision(MoveKind.GUESS, cell, prob, depth)
 
 
 def _probability_map(reduced: ConstraintSystem, sea_size: int,
@@ -314,8 +290,7 @@ def play_game(spec: BoardSpec, config: Optional[SolverConfig] = None,
     config = config or SolverConfig()
     if seed is not None:
         spec = replace(spec, seed=seed)
-    opening = _opening_cell(spec, config)
-    state = new_board(spec, opening if spec.first_click_safe else None)
+    state = new_board(spec, first_move(spec) if spec.first_click_safe else None)
     record = GameRecord(spec=spec, seed=spec.seed, won=False,
                         loss_on_first_move=False)
     while state.status is GameStatus.IN_PROGRESS:

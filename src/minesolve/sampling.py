@@ -80,9 +80,8 @@ def sample_group(group: Group,
 
     if not paths:
         raise SamplingStarvedError(f"no satisfying assignment found in {draws} draws")
-    n = len(plan.cells)
-    counts = [0] * (n + 1)
-    box_totals = [[0] * (n + 1) for _ in steps]
+    counts = [0] * (len(group.vars) + 1)
+    box_totals = [[0] * len(counts) for _ in steps]
     for path, weight in paths.items():
         k = sum(path)
         counts[k] += weight
@@ -90,5 +89,4 @@ def sample_group(group: Group,
             totals[k] += weight * j
     while not counts[-1]:
         counts.pop()
-    return plan.tally(counts, plan.box_rows(box_totals, len(counts)),
-                      samples_used=draws)
+    return plan.tally(counts, box_totals, samples_used=draws)

@@ -32,17 +32,20 @@ def system(*constraints: Constraint) -> ConstraintSystem:
     return ConstraintSystem(frozenset(constraints), {})
 
 
-def tally_dict(tally) -> dict[tuple[Cell, int], float]:
-    """A tally's per-cell counts keyed by (cell, k), for every k its rows hold."""
-    return {(cell, k): x for cell, row in zip(tally.cells, tally.cell_counts)
-            for k, x in enumerate(row)}
+def tally_dict(tally) -> dict[tuple[Cell, int], int]:
+    """A tally's per-cell counts keyed by (cell, k), for every k its rows
+    hold: each box's mine total over the box size."""
+    return {(cell, k): x // len(box)
+            for box, row in zip(tally.boxes, tally.box_mines)
+            for k, x in enumerate(row) for cell in box}
 
 
 def marginals(tally) -> dict[Cell, float]:
     """Per-cell mine probability within one group, ignoring the global mine
     budget: the cell's share of the group's solutions."""
     total = sum(tally.counts)
-    return {cell: sum(row) / total for cell, row in zip(tally.cells, tally.cell_counts)}
+    return {cell: sum(row) / (total * len(box))
+            for box, row in zip(tally.boxes, tally.box_mines) for cell in box}
 
 
 def brute_force_solutions(constraints, variables) -> list[dict[Cell, int]]:

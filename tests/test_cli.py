@@ -1,10 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
+import pytest
 
 from minesolve import cli
 from minesolve.cli import main
 from minesolve.harness import REPORT_SCHEMA
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_play_writes_valid_json_report(tmp_path):
@@ -45,6 +50,32 @@ def test_play_replay_dir(tmp_path):
     ])
     assert code == 0
     assert list(replays.glob("replay_*.json"))
+
+
+@pytest.mark.parametrize("where", ["a_file", "a_file/replays"])
+def test_replay_dir_that_cannot_be_a_directory_fails_before_playing(
+        tmp_path, monkeypatch, capsys, where):
+    (tmp_path / "a_file").write_text("")
+    played = []
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: played.append(args))
+    code = main([
+        "play", "--width", "4", "--height", "4", "--mines", "3", "--games", "5",
+        "--replay-dir", str(tmp_path / where),
+    ])
+    assert code == 2
+    assert not played
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --replay-dir ")
+
+
+def test_readme_cli_lines_parse():
+    # every command in the README's CLI block names only flags the parser has
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("minesolve ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_missing_out_directory_fails_before_playing(tmp_path, monkeypatch):

@@ -99,9 +99,9 @@ def test_tally_invariants():
         tally = enumerate_group(group)
         assert tally.counts[-1] >= 1
         for k, n in enumerate(tally.counts):
-            per_cell = [row[k] for row in tally.cell_counts]
-            assert all(0 <= c <= n for c in per_cell)
-            assert sum(per_cell) == k * n
+            assert all(0 <= row[k] <= len(box) * n
+                       for box, row in zip(tally.boxes, tally.box_mines))
+            assert sum(row[k] for row in tally.box_mines) == k * n
 
 
 def test_nodes_never_exceed_two_to_the_n():
@@ -122,8 +122,8 @@ def test_tally_independent_of_variable_order():
         rng.shuffle(shuffled)
         permuted = Group(constraints=group.constraints, vars=tuple(shuffled))
         tally = enumerate_group(permuted)
-        assert tally.counts == base.counts
-        assert tally.cell_counts == base.cell_counts
+        assert (tally.boxes, tally.counts, tally.box_mines) == (
+            base.boxes, base.counts, base.box_mines)
 
 
 def test_group_above_threshold_rejected():
@@ -218,7 +218,7 @@ def test_loose_group_counted_by_boxes():
     assert {k: n for k, n in enumerate(tally.counts) if n} == expected
     assert len(tally.counts) == max(expected) + 1
     for k, n in expected.items():
-        assert sum(row[k] for row in tally.cell_counts) == k * n
+        assert sum(row[k] for row in tally.box_mines) == k * n
     assert tally.nodes_visited < 100
 
 
@@ -270,9 +270,8 @@ def test_kept_structure_gives_the_cold_tally(seed, width, dr, dc):
     enumerate_group(group)
     hit = enumerate_group(copy)
     assert hit.nodes_visited == 0
-    assert hit.cells == cold.cells
-    assert hit.counts == cold.counts
-    assert hit.cell_counts == cold.cell_counts
+    assert (hit.boxes, hit.counts, hit.box_mines) == (
+        cold.boxes, cold.counts, cold.box_mines)
 
     # any other renaming: reused or searched, the tally is the cold one
     order = list(range(len(group.vars)))
@@ -297,15 +296,15 @@ def test_memo_holds_at_most_its_limit(monkeypatch):
 def test_editing_a_tally_leaves_later_tallies_alone():
     group = group_of(*ONE_TWO_ONE)
     first = cold_count(group)
-    expected = (list(first.counts), [list(row) for row in first.cell_counts])
+    expected = (first.boxes, list(first.counts), [list(row) for row in first.box_mines])
     exact._memo.clear()
     for _ in range(2):  # the searched tally, then a reused one
         tally = enumerate_group(group)
         tally.counts[1] = 99
         tally.counts.append(7)
-        for row in tally.cell_counts:
+        for row in tally.box_mines:
             row[0] = 99
             row.append(7)
         again = enumerate_group(group)
         assert again.nodes_visited == 0
-        assert (again.counts, again.cell_counts) == expected
+        assert (again.boxes, again.counts, again.box_mines) == expected

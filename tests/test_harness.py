@@ -27,7 +27,7 @@ COIN = BoardSpec(2, 1, 1)
 
 
 def test_zero_mine_board_always_wins():
-    report = run_batch(TINY, games=100, base_seed=0, workers=1)
+    report = run_batch(TINY, games=100, base_seed=0)
     assert report.wins == 100
     assert report.win_rate == 1.0
     assert report.first_move_losses == 0
@@ -35,35 +35,37 @@ def test_zero_mine_board_always_wins():
 
 @pytest.mark.slow
 def test_batch_reproducible():
-    a = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7, workers=1)
-    b = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7, workers=1)
+    a = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7)
+    b = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7)
     assert [g.won for g in a.per_game] == [g.won for g in b.per_game]
     assert [g.seed for g in a.per_game] == list(range(7, 47))
     assert a.wins == b.wins
 
 
 @pytest.mark.slow
-def test_parallel_and_serial_agree():
-    serial = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3, workers=1)
-    parallel = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3, workers=2)
+def test_parallel_and_serial_agree(monkeypatch):
+    monkeypatch.setenv("MINESOLVE_THREADS", "1")
+    serial = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3)
+    monkeypatch.setenv("MINESOLVE_THREADS", "2")
+    parallel = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3)
     assert [g.won for g in serial.per_game] == [g.won for g in parallel.per_game]
 
 
 def test_coin_flip_win_rate():
-    report = run_batch(COIN, games=10_000, base_seed=0, workers=2)
+    report = run_batch(COIN, games=10_000, base_seed=0)
     assert report.win_rate == pytest.approx(0.5, abs=0.02)
     lo, hi = report.wilson_95
     assert lo <= report.win_rate <= hi
 
 
 def test_report_json_matches_schema():
-    report = run_batch(BoardSpec(5, 5, 4), games=20, base_seed=0, workers=1)
+    report = run_batch(BoardSpec(5, 5, 4), games=20, base_seed=0)
     payload = json.loads(json.dumps(report.to_dict()))
     jsonschema.validate(payload, REPORT_SCHEMA)
 
 
 def test_text_and_csv_outputs():
-    report = run_batch(BoardSpec(5, 5, 4), games=10, base_seed=0, workers=1)
+    report = run_batch(BoardSpec(5, 5, 4), games=10, base_seed=0)
     text = format_report_text(report)
     assert "win_rate" in text and "move_time_ms" in text
     csv_body = format_report_csv(report)
@@ -73,7 +75,7 @@ def test_text_and_csv_outputs():
 
 
 def test_replay_logs_for_lost_games(tmp_path):
-    report = run_batch(BoardSpec(5, 5, 8), games=30, base_seed=0, workers=1,
+    report = run_batch(BoardSpec(5, 5, 8), games=30, base_seed=0,
                        replay_dir=tmp_path)
     losses = [g for g in report.per_game if not g.won]
     assert losses, "expected at least one loss on a dense 5x5"
@@ -88,7 +90,7 @@ def test_replay_logs_for_lost_games(tmp_path):
 
 
 def test_all_mine_board_is_won_without_moves():
-    report = run_batch(BoardSpec(2, 2, 4), games=3, workers=1)
+    report = run_batch(BoardSpec(2, 2, 4), games=3)
     assert report.wins == 3
     assert [(g.n_moves, g.max_move_ms) for g in report.per_game] == [(0, 0.0)] * 3
     assert report.move_time_ms == {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
@@ -96,7 +98,7 @@ def test_all_mine_board_is_won_without_moves():
 
 
 def test_move_time_summary_matches_numpy():
-    report = run_batch(BoardSpec(5, 5, 4), games=20, workers=1, keep_records=True)
+    report = run_batch(BoardSpec(5, 5, 4), games=20, keep_records=True)
     times = np.array([t for r in report.records for t in r.move_times_ms()])
     expected = {
         "mean": times.mean(),
@@ -109,7 +111,7 @@ def test_move_time_summary_matches_numpy():
 
 
 def test_batch_reports_the_config_it_played():
-    report = run_batch(BoardSpec(5, 5, 4), games=5, workers=1,
+    report = run_batch(BoardSpec(5, 5, 4), games=5,
                        config=SolverConfig(mode="exact", budget_ms=200))
     assert report.mode == "exact"
     assert report.budget_ms == 200
@@ -117,7 +119,7 @@ def test_batch_reports_the_config_it_played():
 
 
 def test_ablation_keeps_config_apart_from_mode():
-    report = run_ablation(BoardSpec(5, 5, 4), games=5, workers=1,
+    report = run_ablation(BoardSpec(5, 5, 4), games=5,
                           modes=("logic", "exact"),
                           config=SolverConfig(mode="full", budget_ms=200))
     assert {m: r.mode for m, r in report.reports.items()} == {
@@ -126,7 +128,7 @@ def test_ablation_keeps_config_apart_from_mode():
 
 
 def test_ablation_on_trivial_board():
-    report = run_ablation(TINY, games=40, base_seed=0, workers=1)
+    report = run_ablation(TINY, games=40, base_seed=0)
     assert set(report.reports) == {"logic", "exact", "full"}
     assert all(r.win_rate == 1.0 for r in report.reports.values())
     for delta in report.deltas:
@@ -135,7 +137,7 @@ def test_ablation_on_trivial_board():
 
 def test_ablation_pairs_seeds_and_formats():
     report = run_ablation(BoardSpec(5, 5, 6), games=30, base_seed=11,
-                          modes=("logic", "full"), workers=1)
+                          modes=("logic", "full"))
     assert [g.seed for g in report.reports["logic"].per_game] == \
            [g.seed for g in report.reports["full"].per_game]
     text = format_ablation_text(report)
@@ -179,7 +181,6 @@ def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("MINESOLVE_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.delenv("MINESOLVE_THREADS")
-    assert worker_count(5) == 5
     assert worker_count() >= 1
 
 
@@ -207,7 +208,8 @@ class _InProcessPool:
 def test_pool_never_asks_for_more_workers_than_chunks(monkeypatch, workers, games):
     calls = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor", partial(_InProcessPool, calls))
-    report = run_batch(TINY, games=games, base_seed=11, workers=workers)
+    monkeypatch.setenv("MINESOLVE_THREADS", str(workers))
+    report = run_batch(TINY, games=games, base_seed=11)
     [call] = calls
     assert call["max_workers"] == min(workers, call["chunks"])
     assert [g.seed for g in report.per_game] == list(range(11, 11 + games))

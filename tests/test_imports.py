@@ -61,7 +61,7 @@ from minesolve import (SolverConfig, exact_board_probabilities, parse_board,
                        run_batch, wilson_interval)
 from minesolve.harness import paired_delta
 
-report = run_batch("simple", games=4, config=SolverConfig(mode="exact"), workers=1)
+report = run_batch("simple", games=4, config=SolverConfig(mode="exact"))
 wins = [g.won for g in report.per_game]
 paired_delta("exact", wins, "exact", wins)
 wilson_interval(report.wins, report.games)

@@ -67,16 +67,6 @@ def test_fresh_board_returns_first_move():
     assert decision.prob == pytest.approx(10 / 64)
 
 
-def test_first_move_config_variants():
-    spec = BoardSpec(8, 8, 10, seed=4)
-    corner = next_move(new_board(spec), config=SolverConfig(first_move="corner"))
-    assert corner.cell == Cell(0, 0)
-    fixed = next_move(new_board(spec), config=SolverConfig(first_move="2,5"))
-    assert fixed.cell == Cell(2, 5)
-    with pytest.raises(ValueError):
-        next_move(new_board(spec), config=SolverConfig(first_move="9,9"))
-
-
 def test_guess_takes_cheaper_sea_over_frontier():
     # frontier pair at 0.5 vs sea at E[M - k]/|U| = (3-1)/5 = 0.4
     tally = enumerate_group(

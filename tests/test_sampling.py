@@ -77,17 +77,17 @@ def test_identical_seed_and_budget_identical_tally():
     one = sample_group(group, max_samples=8192, rng=42)
     two = sample_group(group, max_samples=8192, rng=42)
     assert one.counts == two.counts
-    assert one.cell_counts == two.cell_counts
+    assert one.box_mines == two.box_mines
     assert one.samples_used == two.samples_used
 
 
 def test_tallies_are_python_ints():
-    # path weights and box totals over box sizes are integers, so the
-    # tallies come out as exact Python ints, trimmed like counted ones
+    # path weights and box mine totals are integers, so the tallies come
+    # out as exact Python ints, trimmed like counted ones
     rng = random.Random(89)
     tally = sample_group(random_connected_group(rng, 10, 4), max_samples=4096, rng=3)
     assert tally.counts[-1] > 0
-    for row in [tally.counts, *tally.cell_counts]:
+    for row in [tally.counts, *tally.box_mines]:
         assert len(row) == len(tally.counts)
         assert all(type(x) is int and x >= 0 for x in row)
 
@@ -128,12 +128,13 @@ def test_sampler_credits_only_satisfiable_counts():
 def test_all_forced_boxes_are_sampled_exactly():
     # one constraint over 30 cells is one box whose mine count is forced,
     # so every draw takes the one path, weighted by all C(30, 3) placements
+    # of the box's 3 mines
     wide = [Cell(0, i) for i in range(30)]
     group = simple_group(con(wide, 3), variables=wide)
     draws = 100
     tally = sample_group(group, max_samples=draws, rng=11)
     assert tally.counts == [0, 0, 0, draws * math.comb(30, 3)]
-    assert all(row == [0, 0, 0, draws * math.comb(29, 2)] for row in tally.cell_counts)
+    assert tally.box_mines == [[0, 0, 0, 3 * draws * math.comb(30, 3)]]
 
 
 def test_importance_never_starves_on_feasible_group():
