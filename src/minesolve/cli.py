@@ -112,6 +112,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "text": lambda: format_report_text(report),
                 "csv": lambda: format_report_csv(report),
             }[args.format]()
+            failed = report.failed
         else:
             modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
             bad = [m for m in modes if m not in MODES]
@@ -126,8 +127,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "text": lambda: format_ablation_text(report),
                 "csv": lambda: format_ablation_csv(report),
             }[args.format]()
+            failed = [f for r in report.reports.values() for f in r.failed]
         _emit(body, args.out)
-        return 0
+        for game in failed:
+            error = game.traceback.rstrip().splitlines()[-1]
+            print(f"failed: game seed {game.seed} raised {error}", file=sys.stderr)
+        return 1 if failed else 0
     except (BoardConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,9 +102,9 @@ def neighbors(spec: BoardSpec, cell: Cell) -> set[Cell]:
     return {Cell(*divmod(i, w)) for i in table[cell[0] * w + cell[1]]}
 
 
-@dataclass(frozen=True)
-class RevealOutcome:
-    """Result of one reveal: a mine hit, or a value plus the cells opened."""
+class RevealOutcome(NamedTuple):
+    """Result of one reveal: a mine hit, or a value plus the cells opened.
+    An immutable record: every field is read-only."""
 
     mine: bool
     value: Optional[int]
@@ -207,40 +207,46 @@ def reveal(state: GameState, cell: Cell) -> RevealOutcome:
     if state.status is not GameStatus.IN_PROGRESS:
         raise InvalidMoveError("game is over")
     spec = state.spec
-    if not spec.in_bounds(cell):
+    width, height = spec.width, spec.height
+    row, col = cell[0], cell[1]
+    if not (0 <= row < height and 0 <= col < width):
         raise InvalidMoveError(f"cell {cell} out of bounds")
-    start = spec.index(cell)
-    if state.revealed[start]:
+    start = row * width + col
+    revealed = state.revealed
+    if revealed[start]:
         raise InvalidMoveError(f"cell {cell} is already revealed")
 
     if state.mines[start]:
-        state.revealed[start] = True
+        revealed[start] = True
+        state._revealed_count += 1
         state.status = GameStatus.LOST
         state.moves.append((cell, "boom"))
-        return RevealOutcome(mine=True, value=None, opened=frozenset({cell}))
+        return RevealOutcome(True, None, frozenset((cell,)))
 
-    table = neighbor_table(spec.width, spec.height)
-    revealed, values = state.revealed, state.values
-    opened = [start]
+    cells = cell_table(width, height)
+    values = state.values
+    value = values[start]
     revealed[start] = True
-    stack = [start] if values[start] == 0 else []
-    while stack:
-        i = stack.pop()
-        for j in table[i]:
-            if not revealed[j]:
-                revealed[j] = True
-                opened.append(j)
-                if values[j] == 0:
-                    stack.append(j)
+    if value:
+        opened = frozenset((cells[start],))
+    else:
+        table = neighbor_table(width, height)
+        flipped = [cells[start]]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in table[i]:
+                if not revealed[j]:
+                    revealed[j] = True
+                    flipped.append(cells[j])
+                    if values[j] == 0:
+                        stack.append(j)
+        opened = frozenset(flipped)
     state._revealed_count += len(opened)
     if state._revealed_count == state._safe_total:
         state.status = GameStatus.WON
-    value = values[start]
     state.moves.append((cell, value))
-    return RevealOutcome(
-        mine=False, value=value,
-        opened=frozenset(spec.cell(i) for i in opened),
-    )
+    return RevealOutcome(False, value, opened)
 
 
 def render_board(state: GameState) -> str:

@@ -14,14 +14,15 @@ import json
 import math
 import os
 import statistics
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .engine import BoardSpec, difficulty_spec
-from .policy import MODES, GameRecord, SolverConfig, play_game
+from .engine import BoardSpec, difficulty_spec, new_board, render_board
+from .policy import MODES, GameRecord, SolverConfig, first_move, play_game
 
 _MIN_GAMES_FOR_POOL = 32
 
@@ -33,6 +34,16 @@ class PerGame:
     loss_on_first_move: bool
     n_moves: int
     max_move_ms: float
+
+
+@dataclass(frozen=True)
+class FailedGame:
+    """A game that raised: its seed, the seeded board it started from
+    (`render_board` text, mines included) and the traceback."""
+
+    seed: int
+    board: str
+    traceback: str
 
 
 @dataclass
@@ -49,9 +60,10 @@ class BatchReport:
     budget_ms: float
     per_game: list[PerGame] = field(default_factory=list)
     records: Optional[list[GameRecord]] = None
+    failed: list[FailedGame] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "board": {
                 "width": self.board.width,
                 "height": self.board.height,
@@ -68,6 +80,9 @@ class BatchReport:
             "base_seed": self.base_seed,
             "budget_ms": self.budget_ms,
         }
+        if self.failed:
+            out["failed"] = [asdict(f) for f in self.failed]
+        return out
 
 
 REPORT_SCHEMA = {
@@ -101,6 +116,19 @@ REPORT_SCHEMA = {
         "first_move_losses": {"type": "integer", "minimum": 0},
         "base_seed": {"type": "integer"},
         "budget_ms": {"type": "number", "exclusiveMinimum": 0},
+        # present only when a game raised
+        "failed": {
+            "type": "array", "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["seed", "board", "traceback"],
+                "properties": {
+                    "seed": {"type": "integer"},
+                    "board": {"type": "string"},
+                    "traceback": {"type": "string"},
+                },
+            },
+        },
     },
 }
 
@@ -128,9 +156,16 @@ def worker_count() -> int:
 
 def _play_one(spec: BoardSpec, config: SolverConfig, keep: bool,
               seed: int) -> tuple:
-    record = play_game(spec, config=config, seed=seed)
+    try:
+        record = play_game(spec, config=config, seed=seed)
+    except Exception:
+        # one crashing game must not end the batch: report it instead
+        spec = replace(spec, seed=seed)
+        board = new_board(spec, first_move(spec) if spec.first_click_safe else None)
+        return (seed, False, False, [], None,
+                FailedGame(seed, render_board(board), traceback.format_exc()))
     return (seed, record.won, record.loss_on_first_move,
-            record.move_times_ms(), record if keep else None)
+            record.move_times_ms(), record if keep else None, None)
 
 
 def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
@@ -138,7 +173,8 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
               keep_records: bool = False,
               replay_dir: Optional[Union[str, Path]] = None) -> BatchReport:
     """Play `games` seeded games under `config` and aggregate win/time
-    statistics."""
+    statistics. A game that raises counts as not won, with no moves, and
+    is listed in the report's `failed`; the other games still play."""
     if games < 1:
         raise ValueError("games must be >= 1")
     spec = difficulty_spec(board) if isinstance(board, str) else board
@@ -160,10 +196,15 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
 
     per_game = []
     records = [] if keep else None
+    failed = []
     all_times: list[float] = []
     wins = 0
     first_losses = 0
-    for seed, won, loss_first, times, record in results:
+    for seed, won, loss_first, times, record, failure in results:
+        if failure is not None:
+            failed.append(failure)
+        elif keep:
+            records.append(record)
         wins += won
         first_losses += loss_first
         all_times.extend(times)
@@ -171,10 +212,8 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
             seed=seed, won=won, loss_on_first_move=loss_first,
             n_moves=len(times), max_move_ms=max(times, default=0.0),
         ))
-        if keep:
-            records.append(record)
 
-    ordered = sorted(all_times) or [0.0]  # no game moved: every cell a mine
+    ordered = sorted(all_times) or [0.0]  # no game moved: all mines, or all raised
     report = BatchReport(
         board=spec, mode=config.mode, games=games, wins=wins,
         win_rate=wins / games,
@@ -190,6 +229,7 @@ def run_batch(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
         budget_ms=config.budget_ms,
         per_game=per_game,
         records=records,
+        failed=failed,
     )
     if replay_dir is not None:
         _write_replays(report, Path(replay_dir))

@@ -21,7 +21,7 @@ from enum import Enum
 from hashlib import blake2b
 from operator import itemgetter
 from time import monotonic
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .combine import BoardContext, CombineInfeasibleError, combine
 from .constraints import (
@@ -62,7 +62,8 @@ class _SafeQueue:
 
     moves_seen: int
     last_move: Optional[tuple]
-    cells: list[Cell]  # descending, so the smallest is last
+    indices: list[int]  # flat indices, descending, so the smallest is last
+    cells: tuple[Cell, ...]  # the board's cell_table
 
 
 def _queued_safe(state: GameState) -> Optional[Cell]:
@@ -75,22 +76,23 @@ def _queued_safe(state: GameState) -> Optional[Cell]:
         return None
     n, moves = queue.moves_seen, state.moves
     if len(moves) >= n and (n == 0 or moves[n - 1] is queue.last_move):
-        spec, revealed, cells = state.spec, state.revealed, queue.cells
-        while cells:
-            if not revealed[spec.index(cells[-1])]:
-                return cells[-1]
-            cells.pop()
+        revealed, indices = state.revealed, queue.indices
+        while indices:
+            if not revealed[indices[-1]]:
+                return queue.cells[indices[-1]]
+            indices.pop()
     state.solver_memo = None
     return None
 
 
 def _queue_safe(state: GameState, safe: set[Cell]) -> Cell:
     """Queue every safe cell for the following calls; return the smallest."""
-    moves = state.moves
+    spec, moves = state.spec, state.moves
     queue = _SafeQueue(len(moves), moves[-1] if moves else None,
-                       sorted(safe, reverse=True))
+                       sorted((spec.index(c) for c in safe), reverse=True),
+                       cell_table(spec.width, spec.height))
     state.solver_memo = queue
-    return queue.cells[-1]
+    return queue.cells[queue.indices[-1]]
 
 
 def _view_seed(revealed: list[bool]) -> int:
@@ -123,8 +125,14 @@ class SolverConfig:
         _checked_budget(self.budget_ms)
 
 
-@dataclass(frozen=True)
-class MoveDecision:
+# used when no config is given; frozen, so one instance serves every call
+_DEFAULT_CONFIG = SolverConfig()
+
+
+class MoveDecision(NamedTuple):
+    """One move: what to reveal, why, and the pipeline depth that chose
+    it. An immutable record: every field is read-only."""
+
     kind: MoveKind
     cell: Cell
     prob: float
@@ -196,7 +204,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
     (`budget_ms` if given, else `config.budget_ms`; either must be
     positive)."""
     t0 = monotonic()
-    config = config or SolverConfig()
+    config = config or _DEFAULT_CONFIG
     budget_s = (config.budget_ms if budget_ms is None
                 else _checked_budget(budget_ms)) / 1000.0
     if state.status is not GameStatus.IN_PROGRESS:
@@ -287,7 +295,7 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
 def play_game(spec: BoardSpec, config: Optional[SolverConfig] = None,
               seed: Optional[int] = None) -> GameRecord:
     """Play one full game; every move and its wall time are recorded."""
-    config = config or SolverConfig()
+    config = config or _DEFAULT_CONFIG
     if seed is not None:
         spec = replace(spec, seed=seed)
     state = new_board(spec, first_move(spec) if spec.first_click_safe else None)

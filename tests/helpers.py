@@ -15,6 +15,7 @@ from minesolve.constraints import (
 from minesolve.engine import BoardSpec, Cell, GameState, GameStatus, new_board, reveal
 from minesolve.exact import enumerate_group
 from minesolve.grouping import Group, partition
+from minesolve.policy import play_game
 
 ONE_TWO_ONE_TEXT = "3 2 2\n*.*\n...\n\n###\nRRR\n"
 A, B, C = Cell(0, 0), Cell(0, 1), Cell(0, 2)
@@ -141,3 +142,15 @@ def pipeline_probability_map(state: GameState) -> PipelineResult:
     for cell, value in reduced.known.items():
         probs[cell] = float(value)
     return PipelineResult(probs, sum(pmap.values()), dict(reduced.known), remaining)
+
+
+def raising_on_seed(bad_seed: int):
+    """A stand-in for `play_game` that raises on one seed and plays the
+    others."""
+
+    def play(spec, config=None, seed=None):
+        if seed == bad_seed:
+            raise RuntimeError(f"planted failure on seed {seed}")
+        return play_game(spec, config=config, seed=seed)
+
+    return play

@@ -5,9 +5,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from minesolve import cli
+from minesolve import cli, harness
 from minesolve.cli import main
 from minesolve.harness import REPORT_SCHEMA
+
+from helpers import raising_on_seed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,6 +25,24 @@ def test_play_writes_valid_json_report(tmp_path):
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["games"] == 10
+
+
+@pytest.mark.parametrize("command", [["play"], ["ablate", "--modes", "logic,full"]])
+def test_failed_games_are_listed_and_exit_1(monkeypatch, capsys, command):
+    monkeypatch.setattr(harness, "play_game", raising_on_seed(12))
+    code = main(command + [
+        "--width", "4", "--height", "4", "--mines", "2", "--games", "5",
+        "--seed", "10", "--format", "json",
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    reports = list(payload["modes"].values()) if "modes" in payload else [payload]
+    for report in reports:
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert [f["seed"] for f in report["failed"]] == [12]
+    assert err.count("failed: game seed 12 raised RuntimeError: planted failure") \
+        == len(reports)
 
 
 def test_play_text_to_stdout(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minesolve.engine import (
     BoardConfigError,
@@ -68,6 +70,39 @@ def test_reveal_counts_adjacent_mines():
     outcome = reveal(state, Cell(0, 0))
     assert outcome.value == 1
     assert outcome.opened == frozenset({Cell(0, 0)})
+    for name in ("mine", "value", "opened"):
+        with pytest.raises(AttributeError):
+            setattr(outcome, name, None)
+    assert outcome == (False, 1, frozenset({Cell(0, 0)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reveal_opens_exactly_the_cells_it_flips(data):
+    width, height = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    spec = BoardSpec(width, height, data.draw(st.integers(0, width * height)),
+                     seed=data.draw(st.integers(0, 2**32 - 1)))
+    state = new_board(spec)
+    for i in data.draw(st.permutations(range(spec.cells))):
+        if state.status is not GameStatus.IN_PROGRESS:
+            break
+        cell = spec.cell(i)
+        if state.revealed[i]:
+            with pytest.raises(InvalidMoveError):
+                reveal(state, cell)
+            continue
+        before = list(state.revealed)
+        outcome = reveal(state, cell)
+        flipped = {spec.cell(j) for j in range(spec.cells)
+                   if state.revealed[j] and not before[j]}
+        assert outcome.mine == state.mines[i]
+        assert outcome.opened == flipped
+        if outcome.mine:
+            assert flipped == {cell} and outcome.value is None
+        else:
+            assert outcome.value == state.values[i]
+        assert state.moves[-1] == (cell, "boom" if outcome.mine else outcome.value)
+        assert state.revealed_count() == sum(state.revealed)
 
 
 def test_reveal_cascades_through_zero_cells():

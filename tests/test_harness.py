@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from functools import partial
 
 import jsonschema
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from minesolve import harness
-from minesolve.engine import BoardSpec
+from minesolve.engine import BoardSpec, new_board, render_board
 from minesolve.harness import (
     REPORT_SCHEMA,
     format_ablation_csv,
@@ -21,6 +22,8 @@ from minesolve.harness import (
     worker_count,
 )
 from minesolve.policy import SolverConfig
+
+from helpers import raising_on_seed
 
 TINY = BoardSpec(2, 2, 0)
 COIN = BoardSpec(2, 1, 1)
@@ -219,3 +222,29 @@ def test_pool_never_asks_for_more_workers_than_chunks(monkeypatch, workers, game
 def test_invalid_game_count_rejected():
     with pytest.raises(ValueError):
         run_batch(TINY, games=0)
+
+
+@pytest.mark.parametrize("threads, games", [("1", 6), ("2", 40)])
+def test_a_game_that_raises_is_reported_and_the_batch_goes_on(
+        monkeypatch, threads, games):
+    # "2" with 40 games takes the process pool, whose forked workers
+    # inherit the patched play_game
+    spec, bad = BoardSpec(4, 4, 2), 3
+    clean = run_batch(spec, games=games)
+    monkeypatch.setattr(harness, "play_game", raising_on_seed(bad))
+    monkeypatch.setenv("MINESOLVE_THREADS", threads)
+    report = run_batch(spec, games=games, keep_records=True)
+    [failure] = report.failed
+    assert failure.seed == bad
+    assert failure.traceback.rstrip().endswith(
+        f"RuntimeError: planted failure on seed {bad}")
+    assert failure.board == render_board(new_board(replace(spec, seed=bad)))
+    assert [g.seed for g in report.per_game] == list(range(games))
+    assert [g.won for g in report.per_game] == [
+        g.won and g.seed != bad for g in clean.per_game]
+    assert report.per_game[bad].n_moves == 0
+    assert [r.seed for r in report.records] == [s for s in range(games) if s != bad]
+    payload = json.loads(json.dumps(report.to_dict()))
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert [f["seed"] for f in payload["failed"]] == [bad]
+    assert "failed" not in clean.to_dict()

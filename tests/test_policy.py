@@ -51,6 +51,10 @@ def test_one_two_one_is_solved_by_logic():
     assert decision.cell == B
     assert decision.prob == 0.0
     assert decision.pipeline_depth == "logic"
+    for name in ("kind", "cell", "prob", "pipeline_depth"):
+        with pytest.raises(AttributeError):
+            setattr(decision, name, None)
+    assert decision == (MoveKind.REVEAL_SAFE, B, 0.0, "logic")
 
 
 def test_first_move_center_formula():
