@@ -224,24 +224,21 @@ def reveal(state: GameState, cell: Cell) -> RevealOutcome:
         return RevealOutcome(True, None, frozenset((cell,)))
 
     cells = cell_table(width, height)
+    table = neighbor_table(width, height)
     values = state.values
     value = values[start]
     revealed[start] = True
-    if value:
-        opened = frozenset((cells[start],))
-    else:
-        table = neighbor_table(width, height)
-        flipped = [cells[start]]
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in table[i]:
-                if not revealed[j]:
-                    revealed[j] = True
-                    flipped.append(cells[j])
-                    if values[j] == 0:
-                        stack.append(j)
-        opened = frozenset(flipped)
+    flipped = [cells[start]]
+    stack = [] if value else [start]
+    while stack:
+        i = stack.pop()
+        for j in table[i]:
+            if not revealed[j]:
+                revealed[j] = True
+                flipped.append(cells[j])
+                if values[j] == 0:
+                    stack.append(j)
+    opened = frozenset(flipped)
     state._revealed_count += len(opened)
     if state._revealed_count == state._safe_total:
         state.status = GameStatus.WON

@@ -21,8 +21,8 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .engine import BoardSpec, difficulty_spec, new_board, render_board
-from .policy import MODES, GameRecord, SolverConfig, first_move, play_game
+from .engine import BoardSpec, difficulty_spec, render_board
+from .policy import MODES, GameRecord, SolverConfig, play_game, seeded_board
 
 _MIN_GAMES_FOR_POOL = 32
 
@@ -160,10 +160,9 @@ def _play_one(spec: BoardSpec, config: SolverConfig, keep: bool,
         record = play_game(spec, config=config, seed=seed)
     except Exception:
         # one crashing game must not end the batch: report it instead
-        spec = replace(spec, seed=seed)
-        board = new_board(spec, first_move(spec) if spec.first_click_safe else None)
+        board = render_board(seeded_board(spec, seed))
         return (seed, False, False, [], None,
-                FailedGame(seed, render_board(board), traceback.format_exc()))
+                FailedGame(seed, board, traceback.format_exc()))
     return (seed, record.won, record.loss_on_first_move,
             record.move_times_ms(), record if keep else None, None)
 

@@ -292,13 +292,21 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
     return fused, "sampled" if oversized else "exact"
 
 
+def seeded_board(spec: BoardSpec, seed: Optional[int] = None) -> GameState:
+    """The board `play_game(spec, seed=seed)` starts from: mines placed
+    from `seed` (else spec.seed), clear of the first move on a
+    first-click-safe board."""
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    return new_board(spec, first_move(spec) if spec.first_click_safe else None)
+
+
 def play_game(spec: BoardSpec, config: Optional[SolverConfig] = None,
               seed: Optional[int] = None) -> GameRecord:
     """Play one full game; every move and its wall time are recorded."""
     config = config or _DEFAULT_CONFIG
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    state = new_board(spec, first_move(spec) if spec.first_click_safe else None)
+    state = seeded_board(spec, seed)
+    spec = state.spec
     record = GameRecord(spec=spec, seed=spec.seed, won=False,
                         loss_on_first_move=False)
     while state.status is GameStatus.IN_PROGRESS:

@@ -2,7 +2,8 @@
 count memo for every test.
 
 The acceptance criteria and the slow policy invariants share the batches
-so the games are played once per session. Seeds are fixed, so win/loss
+so the games are played once per session. A game that raises fails every
+test that uses its batch. Seeds are fixed, so win/loss
 outcomes are identical on every run.
 """
 
@@ -17,7 +18,7 @@ from minesolve.harness import run_batch
 from minesolve.oracle import exact_board_probabilities
 from minesolve.policy import SolverConfig
 
-from helpers import pipeline_probability_map, random_position
+from helpers import all_played, pipeline_probability_map, random_position
 
 
 @pytest.fixture(autouse=True)
@@ -48,30 +49,31 @@ def oracle_positions():
 @pytest.fixture(scope="session")
 def simple_batch():
     t0 = time.monotonic()
-    report = run_batch("simple", games=10_000, base_seed=1000,
-                       config=SolverConfig(mode="full"), keep_records=True)
+    report = all_played(run_batch("simple", games=10_000, base_seed=1000,
+                                  config=SolverConfig(mode="full"),
+                                  keep_records=True))
     return report, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
 def inter_batch():
-    return run_batch("intermediate", games=5_000, base_seed=2000,
-                     config=SolverConfig(mode="full"), keep_records=True)
+    return all_played(run_batch("intermediate", games=5_000, base_seed=2000,
+                                config=SolverConfig(mode="full"), keep_records=True))
 
 
 @pytest.fixture(scope="session")
 def exact_inter_batch():
-    return run_batch("intermediate", games=5_000, base_seed=2000,
-                     config=SolverConfig(mode="exact"))
+    return all_played(run_batch("intermediate", games=5_000, base_seed=2000,
+                                config=SolverConfig(mode="exact")))
 
 
 @pytest.fixture(scope="session")
 def logic_inter_batch():
-    return run_batch("intermediate", games=5_000, base_seed=2000,
-                     config=SolverConfig(mode="logic"))
+    return all_played(run_batch("intermediate", games=5_000, base_seed=2000,
+                                config=SolverConfig(mode="logic")))
 
 
 @pytest.fixture(scope="session")
 def hard_batch():
-    return run_batch("hard", games=100, base_seed=3000,
-                     config=SolverConfig(mode="full"), keep_records=True)
+    return all_played(run_batch("hard", games=100, base_seed=3000,
+                                config=SolverConfig(mode="full"), keep_records=True))

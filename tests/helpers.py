@@ -154,3 +154,12 @@ def raising_on_seed(bad_seed: int):
         return play_game(spec, config=config, seed=seed)
 
     return play
+
+
+def all_played(report):
+    """`report` (a BatchReport or an AblationReport) once no game in it
+    raised; a game that did fails the calling test with its traceback."""
+    batches = report.reports.values() if hasattr(report, "reports") else [report]
+    for batch in batches:
+        assert not batch.failed, batch.failed[0].traceback
+    return report

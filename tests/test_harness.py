@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from functools import partial
 
 import jsonschema
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from minesolve import harness
-from minesolve.engine import BoardSpec, new_board, render_board
+from minesolve.engine import BoardSpec, render_board
 from minesolve.harness import (
     REPORT_SCHEMA,
     format_ablation_csv,
@@ -21,16 +20,16 @@ from minesolve.harness import (
     wilson_interval,
     worker_count,
 )
-from minesolve.policy import SolverConfig
+from minesolve.policy import SolverConfig, seeded_board
 
-from helpers import raising_on_seed
+from helpers import all_played, raising_on_seed
 
 TINY = BoardSpec(2, 2, 0)
 COIN = BoardSpec(2, 1, 1)
 
 
 def test_zero_mine_board_always_wins():
-    report = run_batch(TINY, games=100, base_seed=0)
+    report = all_played(run_batch(TINY, games=100, base_seed=0))
     assert report.wins == 100
     assert report.win_rate == 1.0
     assert report.first_move_losses == 0
@@ -38,8 +37,8 @@ def test_zero_mine_board_always_wins():
 
 @pytest.mark.slow
 def test_batch_reproducible():
-    a = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7)
-    b = run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7)
+    a = all_played(run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7))
+    b = all_played(run_batch(BoardSpec(6, 6, 8), games=40, base_seed=7))
     assert [g.won for g in a.per_game] == [g.won for g in b.per_game]
     assert [g.seed for g in a.per_game] == list(range(7, 47))
     assert a.wins == b.wins
@@ -48,27 +47,27 @@ def test_batch_reproducible():
 @pytest.mark.slow
 def test_parallel_and_serial_agree(monkeypatch):
     monkeypatch.setenv("MINESOLVE_THREADS", "1")
-    serial = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3)
+    serial = all_played(run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3))
     monkeypatch.setenv("MINESOLVE_THREADS", "2")
-    parallel = run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3)
+    parallel = all_played(run_batch(BoardSpec(6, 6, 8), games=48, base_seed=3))
     assert [g.won for g in serial.per_game] == [g.won for g in parallel.per_game]
 
 
 def test_coin_flip_win_rate():
-    report = run_batch(COIN, games=10_000, base_seed=0)
+    report = all_played(run_batch(COIN, games=10_000, base_seed=0))
     assert report.win_rate == pytest.approx(0.5, abs=0.02)
     lo, hi = report.wilson_95
     assert lo <= report.win_rate <= hi
 
 
 def test_report_json_matches_schema():
-    report = run_batch(BoardSpec(5, 5, 4), games=20, base_seed=0)
+    report = all_played(run_batch(BoardSpec(5, 5, 4), games=20, base_seed=0))
     payload = json.loads(json.dumps(report.to_dict()))
     jsonschema.validate(payload, REPORT_SCHEMA)
 
 
 def test_text_and_csv_outputs():
-    report = run_batch(BoardSpec(5, 5, 4), games=10, base_seed=0)
+    report = all_played(run_batch(BoardSpec(5, 5, 4), games=10, base_seed=0))
     text = format_report_text(report)
     assert "win_rate" in text and "move_time_ms" in text
     csv_body = format_report_csv(report)
@@ -78,8 +77,8 @@ def test_text_and_csv_outputs():
 
 
 def test_replay_logs_for_lost_games(tmp_path):
-    report = run_batch(BoardSpec(5, 5, 8), games=30, base_seed=0,
-                       replay_dir=tmp_path)
+    report = all_played(run_batch(BoardSpec(5, 5, 8), games=30, base_seed=0,
+                                  replay_dir=tmp_path))
     losses = [g for g in report.per_game if not g.won]
     assert losses, "expected at least one loss on a dense 5x5"
     files = sorted(tmp_path.glob("replay_*.json"))
@@ -93,7 +92,7 @@ def test_replay_logs_for_lost_games(tmp_path):
 
 
 def test_all_mine_board_is_won_without_moves():
-    report = run_batch(BoardSpec(2, 2, 4), games=3)
+    report = all_played(run_batch(BoardSpec(2, 2, 4), games=3))
     assert report.wins == 3
     assert [(g.n_moves, g.max_move_ms) for g in report.per_game] == [(0, 0.0)] * 3
     assert report.move_time_ms == {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
@@ -101,7 +100,7 @@ def test_all_mine_board_is_won_without_moves():
 
 
 def test_move_time_summary_matches_numpy():
-    report = run_batch(BoardSpec(5, 5, 4), games=20, keep_records=True)
+    report = all_played(run_batch(BoardSpec(5, 5, 4), games=20, keep_records=True))
     times = np.array([t for r in report.records for t in r.move_times_ms()])
     expected = {
         "mean": times.mean(),
@@ -114,24 +113,24 @@ def test_move_time_summary_matches_numpy():
 
 
 def test_batch_reports_the_config_it_played():
-    report = run_batch(BoardSpec(5, 5, 4), games=5,
-                       config=SolverConfig(mode="exact", budget_ms=200))
+    report = all_played(run_batch(BoardSpec(5, 5, 4), games=5,
+                                  config=SolverConfig(mode="exact", budget_ms=200)))
     assert report.mode == "exact"
     assert report.budget_ms == 200
     assert report.to_dict()["budget_ms"] == 200
 
 
 def test_ablation_keeps_config_apart_from_mode():
-    report = run_ablation(BoardSpec(5, 5, 4), games=5,
-                          modes=("logic", "exact"),
-                          config=SolverConfig(mode="full", budget_ms=200))
+    report = all_played(run_ablation(BoardSpec(5, 5, 4), games=5,
+                                     modes=("logic", "exact"),
+                                     config=SolverConfig(mode="full", budget_ms=200)))
     assert {m: r.mode for m, r in report.reports.items()} == {
         "logic": "logic", "exact": "exact"}
     assert all(r.budget_ms == 200 for r in report.reports.values())
 
 
 def test_ablation_on_trivial_board():
-    report = run_ablation(TINY, games=40, base_seed=0)
+    report = all_played(run_ablation(TINY, games=40, base_seed=0))
     assert set(report.reports) == {"logic", "exact", "full"}
     assert all(r.win_rate == 1.0 for r in report.reports.values())
     for delta in report.deltas:
@@ -139,8 +138,8 @@ def test_ablation_on_trivial_board():
 
 
 def test_ablation_pairs_seeds_and_formats():
-    report = run_ablation(BoardSpec(5, 5, 6), games=30, base_seed=11,
-                          modes=("logic", "full"))
+    report = all_played(run_ablation(BoardSpec(5, 5, 6), games=30, base_seed=11,
+                                     modes=("logic", "full")))
     assert [g.seed for g in report.reports["logic"].per_game] == \
            [g.seed for g in report.reports["full"].per_game]
     text = format_ablation_text(report)
@@ -212,7 +211,7 @@ def test_pool_never_asks_for_more_workers_than_chunks(monkeypatch, workers, game
     calls = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor", partial(_InProcessPool, calls))
     monkeypatch.setenv("MINESOLVE_THREADS", str(workers))
-    report = run_batch(TINY, games=games, base_seed=11)
+    report = all_played(run_batch(TINY, games=games, base_seed=11))
     [call] = calls
     assert call["max_workers"] == min(workers, call["chunks"])
     assert [g.seed for g in report.per_game] == list(range(11, 11 + games))
@@ -230,15 +229,17 @@ def test_a_game_that_raises_is_reported_and_the_batch_goes_on(
     # "2" with 40 games takes the process pool, whose forked workers
     # inherit the patched play_game
     spec, bad = BoardSpec(4, 4, 2), 3
-    clean = run_batch(spec, games=games)
+    clean = all_played(run_batch(spec, games=games))
     monkeypatch.setattr(harness, "play_game", raising_on_seed(bad))
     monkeypatch.setenv("MINESOLVE_THREADS", threads)
     report = run_batch(spec, games=games, keep_records=True)
     [failure] = report.failed
+    with pytest.raises(AssertionError, match="planted failure"):
+        all_played(report)
     assert failure.seed == bad
     assert failure.traceback.rstrip().endswith(
         f"RuntimeError: planted failure on seed {bad}")
-    assert failure.board == render_board(new_board(replace(spec, seed=bad)))
+    assert failure.board == render_board(seeded_board(spec, bad))
     assert [g.seed for g in report.per_game] == list(range(games))
     assert [g.won for g in report.per_game] == [
         g.won and g.seed != bad for g in clean.per_game]
