@@ -26,6 +26,11 @@ class BoardConfigError(ValueError):
     """Board parameters that cannot produce a valid game."""
 
 
+# an Enum member read through its class costs ~0.1 µs on CPython 3.11, a
+# module global ~0.01 µs; the per-move paths compare against this alias
+_IN_PROGRESS = GameStatus.IN_PROGRESS
+
+
 class InvalidMoveError(ValueError):
     """Reveal of an ineligible cell, or any move after the game ended."""
 
@@ -118,10 +123,13 @@ class GameState:
     concurrent readers should be taken via parse/render or copy().
     `solver_memo` is scratch the solver keeps between calls on this very
     object; the engine never reads it, and copies start without it.
+    `cell_table` and `neighbor_table` are the board's shared tables, held
+    here so a move reads them without a cache lookup.
     """
 
     __slots__ = ("spec", "mines", "values", "revealed", "status", "moves",
-                 "solver_memo", "_revealed_count", "_safe_total")
+                 "solver_memo", "cell_table", "neighbor_table",
+                 "_revealed_count", "_safe_total")
 
     def __init__(self, spec: BoardSpec, mines: list[bool],
                  revealed: Optional[list[bool]] = None) -> None:
@@ -136,7 +144,8 @@ class GameState:
         self.revealed = revealed if revealed is not None else [False] * spec.cells
         if len(self.revealed) != spec.cells:
             raise BoardConfigError("revealed mask size does not match spec")
-        table = neighbor_table(spec.width, spec.height)
+        self.cell_table = cell_table(spec.width, spec.height)
+        self.neighbor_table = table = neighbor_table(spec.width, spec.height)
         self.values = [sum(mines[j] for j in table[i]) for i in range(spec.cells)]
         self.moves: list[tuple[Cell, object]] = []
         self.solver_memo: object = None
@@ -171,8 +180,8 @@ class GameState:
                 yield i, values[i]
 
     def covered_cells(self) -> list[Cell]:
-        table = cell_table(self.spec.width, self.spec.height)
-        return [cell for cell, seen in zip(table, self.revealed) if not seen]
+        return [cell for cell, seen in zip(self.cell_table, self.revealed)
+                if not seen]
 
     def revealed_count(self) -> int:
         return self._revealed_count
@@ -204,7 +213,7 @@ def new_board(spec: BoardSpec, first_click: Optional[Cell] = None) -> GameState:
 
 def reveal(state: GameState, cell: Cell) -> RevealOutcome:
     """Open a covered cell; zero-valued cells cascade to their neighbors."""
-    if state.status is not GameStatus.IN_PROGRESS:
+    if state.status is not _IN_PROGRESS:
         raise InvalidMoveError("game is over")
     spec = state.spec
     width, height = spec.width, spec.height
@@ -223,9 +232,7 @@ def reveal(state: GameState, cell: Cell) -> RevealOutcome:
         state.moves.append((cell, "boom"))
         return RevealOutcome(True, None, frozenset((cell,)))
 
-    cells = cell_table(width, height)
-    table = neighbor_table(width, height)
-    values = state.values
+    cells, table, values = state.cell_table, state.neighbor_table, state.values
     value = values[start]
     revealed[start] = True
     flipped = [cells[start]]

@@ -147,10 +147,15 @@ def wilson_interval(wins: int, games: int, z: float = 1.959963984540054,
 
 
 def worker_count() -> int:
-    """MINESOLVE_THREADS, else the CPU count."""
+    """MINESOLVE_THREADS, else the CPU count; ValueError when the variable
+    is set to something other than an integer."""
     env = os.environ.get("MINESOLVE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"MINESOLVE_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -247,14 +252,15 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
 def _write_replays(report: BatchReport, replay_dir: Path) -> None:
     """One JSON move log per lost game, for debugging."""
     replay_dir.mkdir(parents=True, exist_ok=True)
+    board = report.to_dict()["board"]
     for record in report.records or []:
         if record.won:
             continue
         payload = {
             "seed": record.seed,
-            "board": report.to_dict()["board"],
+            "board": board,
             "mode": report.mode,
-            "moves": [asdict(m) for m in record.moves],
+            "moves": [m._asdict() for m in record.moves],
         }
         path = replay_dir / f"replay_{record.seed}.json"
         path.write_text(json.dumps(payload, indent=2))

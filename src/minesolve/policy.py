@@ -36,7 +36,6 @@ from .engine import (
     GameState,
     GameStatus,
     InvalidMoveError,
-    cell_table,
     new_board,
     reveal,
 )
@@ -63,36 +62,15 @@ class _SafeQueue:
     moves_seen: int
     last_move: Optional[tuple]
     indices: list[int]  # flat indices, descending, so the smallest is last
-    cells: tuple[Cell, ...]  # the board's cell_table
-
-
-def _queued_safe(state: GameState) -> Optional[Cell]:
-    """Smallest still-covered queued cell, or None (dropping the queue)
-    when it is used up or the move log diverged. The cell stays queued
-    until it is revealed, so asking twice without a reveal gives the same
-    answer."""
-    queue = state.solver_memo
-    if not isinstance(queue, _SafeQueue):
-        return None
-    n, moves = queue.moves_seen, state.moves
-    if len(moves) >= n and (n == 0 or moves[n - 1] is queue.last_move):
-        revealed, indices = state.revealed, queue.indices
-        while indices:
-            if not revealed[indices[-1]]:
-                return queue.cells[indices[-1]]
-            indices.pop()
-    state.solver_memo = None
-    return None
 
 
 def _queue_safe(state: GameState, safe: set[Cell]) -> Cell:
     """Queue every safe cell for the following calls; return the smallest."""
     spec, moves = state.spec, state.moves
     queue = _SafeQueue(len(moves), moves[-1] if moves else None,
-                       sorted((spec.index(c) for c in safe), reverse=True),
-                       cell_table(spec.width, spec.height))
+                       sorted((spec.index(c) for c in safe), reverse=True))
     state.solver_memo = queue
-    return queue.cells[queue.indices[-1]]
+    return state.cell_table[queue.indices[-1]]
 
 
 def _view_seed(revealed: list[bool]) -> int:
@@ -107,11 +85,16 @@ class MoveKind(Enum):
     GUESS = "guess"
 
 
-def _checked_budget(budget_ms: float) -> float:
-    """budget_ms itself, or ValueError unless it is positive (NaN is not)."""
+# read on every forced move; an Enum member read through its class costs
+# more than a module global (see engine._IN_PROGRESS)
+_IN_PROGRESS = GameStatus.IN_PROGRESS
+_REVEAL_SAFE = MoveKind.REVEAL_SAFE
+
+
+def _checked_budget(budget_ms: float) -> None:
+    """ValueError unless budget_ms is positive (NaN is not)."""
     if not budget_ms > 0:
         raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
-    return budget_ms
 
 
 @dataclass(frozen=True)
@@ -139,8 +122,10 @@ class MoveDecision(NamedTuple):
     pipeline_depth: str
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
+    """One played move and its wall time. An immutable record: every field
+    is read-only."""
+
     cell: Cell
     kind: str
     pipeline_depth: str
@@ -202,22 +187,38 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
               config: Optional[SolverConfig] = None) -> MoveDecision:
     """Decide one move for the current position within the time budget
     (`budget_ms` if given, else `config.budget_ms`; either must be
-    positive)."""
+    positive).
+
+    After the budget and game-over checks, a cell still queued by an
+    earlier solve of this game is returned before any other work: the
+    smallest one still covered, while the move log extends the log it was
+    deduced from. It stays queued until revealed, so asking twice without
+    a reveal gives the same answer. A used-up or diverged queue is
+    dropped."""
+    if budget_ms is not None:
+        _checked_budget(budget_ms)
+    if state.status is not _IN_PROGRESS:
+        raise InvalidMoveError("game is over")
+    queue = state.solver_memo
+    if queue is not None:
+        n, moves = queue.moves_seen, state.moves
+        if len(moves) >= n and (n == 0 or moves[n - 1] is queue.last_move):
+            revealed, indices = state.revealed, queue.indices
+            while indices:
+                if not revealed[indices[-1]]:
+                    return MoveDecision(_REVEAL_SAFE,
+                                        state.cell_table[indices[-1]], 0.0,
+                                        "logic")
+                indices.pop()
+        state.solver_memo = None
+
     t0 = monotonic()
     config = config or _DEFAULT_CONFIG
-    budget_s = (config.budget_ms if budget_ms is None
-                else _checked_budget(budget_ms)) / 1000.0
-    if state.status is not GameStatus.IN_PROGRESS:
-        raise InvalidMoveError("game is over")
+    budget_s = (config.budget_ms if budget_ms is None else budget_ms) / 1000.0
     spec = state.spec
-
     if state.revealed_count() == 0:
         prob = 0.0 if spec.first_click_safe else spec.mine_count / spec.cells
         return MoveDecision(MoveKind.FIRST_MOVE, first_move(spec), prob, "logic")
-
-    queued = _queued_safe(state)
-    if queued is not None:
-        return MoveDecision(MoveKind.REVEAL_SAFE, queued, 0.0, "logic")
 
     reduced = reduce_system(extract_constraints(state))
     safe, found_mines = deductions(reduced)
@@ -245,8 +246,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
     if sea_size:
         # every sea cell shares sea_prob, so only the lowest row-major one
         # can win the argmin's tie rule
-        table = cell_table(spec.width, spec.height)
-        sea_cell = next(c for c, seen in zip(table, state.revealed)
+        sea_cell = next(c for c, seen in zip(state.cell_table, state.revealed)
                         if not seen and c not in placed)
         probs[sea_cell] = sea_prob
     cell, prob = argmin_cell(probs)
@@ -309,7 +309,7 @@ def play_game(spec: BoardSpec, config: Optional[SolverConfig] = None,
     spec = state.spec
     record = GameRecord(spec=spec, seed=spec.seed, won=False,
                         loss_on_first_move=False)
-    while state.status is GameStatus.IN_PROGRESS:
+    while state.status is _IN_PROGRESS:
         t0 = monotonic()
         decision = next_move(state, config=config)
         outcome = reveal(state, decision.cell)

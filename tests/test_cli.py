@@ -121,6 +121,14 @@ def test_out_naming_a_directory_fails_before_playing(tmp_path, monkeypatch, caps
     assert "is a directory" in capsys.readouterr().err
 
 
+def test_non_integer_thread_count_fails(monkeypatch, capsys):
+    monkeypatch.setenv("MINESOLVE_THREADS", "x")
+    assert main(["play", "--width", "3", "--height", "3", "--mines", "1",
+                 "--games", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: MINESOLVE_THREADS must be an integer, got 'x'\n")
+
+
 def test_missing_board_arguments_fail():
     assert main(["play", "--games", "3"]) == 2
 

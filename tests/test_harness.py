@@ -1,9 +1,9 @@
 import json
 import math
+import statistics
 from functools import partial
 
 import jsonschema
-import numpy as np
 import pytest
 
 from minesolve import harness
@@ -91,6 +91,36 @@ def test_replay_logs_for_lost_games(tmp_path):
     assert first["cell"] == list(record.moves[0].cell)
 
 
+# BoardSpec(5, 5, 6) seed 173: an opening, a guess, a forced reveal and a
+# losing guess; move_ms, the one field a rerun changes, is blanked
+REPLAY_173 = {
+    "seed": 173,
+    "board": {"width": 5, "height": 5, "mine_count": 6, "first_click_safe": False},
+    "mode": "full",
+    "moves": [
+        {"cell": [2, 2], "kind": "first_move", "pipeline_depth": "logic",
+         "prob": 0.24, "move_ms": None, "result": 2},
+        {"cell": [0, 0], "kind": "guess", "pipeline_depth": "exact",
+         "prob": 0.25, "move_ms": None, "result": 0},
+        {"cell": [3, 2], "kind": "reveal_safe", "pipeline_depth": "logic",
+         "prob": 0.0, "move_ms": None, "result": 3},
+        {"cell": [4, 1], "kind": "guess", "pipeline_depth": "exact",
+         "prob": 0.3333333333333333, "move_ms": None, "result": "boom"},
+    ],
+}
+
+
+def test_replay_file_of_a_lost_game_is_pinned(tmp_path):
+    all_played(run_batch(BoardSpec(5, 5, 6), games=1, base_seed=173,
+                         replay_dir=tmp_path))
+    payload = json.loads((tmp_path / "replay_173.json").read_text())
+    for move in payload["moves"]:
+        assert isinstance(move["move_ms"], float) and move["move_ms"] >= 0
+        move["move_ms"] = None
+    # compared as text, so the order of every key counts too
+    assert json.dumps(payload) == json.dumps(REPLAY_173)
+
+
 def test_all_mine_board_is_won_without_moves():
     report = all_played(run_batch(BoardSpec(2, 2, 4), games=3))
     assert report.wins == 3
@@ -99,14 +129,17 @@ def test_all_mine_board_is_won_without_moves():
     jsonschema.validate(json.loads(json.dumps(report.to_dict())), REPORT_SCHEMA)
 
 
-def test_move_time_summary_matches_numpy():
+def test_move_time_summary_matches_statistics():
     report = all_played(run_batch(BoardSpec(5, 5, 4), games=20, keep_records=True))
-    times = np.array([t for r in report.records for t in r.move_times_ms()])
+    times = [t for r in report.records for t in r.move_times_ms()]
+    # the "inclusive" method interpolates linearly between the two nearest
+    # ranks, as the summary's percentiles do
+    cuts = statistics.quantiles(times, n=100, method="inclusive")
     expected = {
-        "mean": times.mean(),
-        "p50": np.percentile(times, 50),
-        "p99": np.percentile(times, 99),
-        "max": times.max(),
+        "mean": statistics.fmean(times),
+        "p50": cuts[49],
+        "p99": cuts[98],
+        "max": max(times),
     }
     for key, value in expected.items():
         assert report.move_time_ms[key] == pytest.approx(value, rel=1e-12)
@@ -184,6 +217,12 @@ def test_worker_count_env_override(monkeypatch):
     assert worker_count() == 3
     monkeypatch.delenv("MINESOLVE_THREADS")
     assert worker_count() >= 1
+
+
+def test_non_integer_thread_count_is_named(monkeypatch):
+    monkeypatch.setenv("MINESOLVE_THREADS", "x")
+    with pytest.raises(ValueError, match="MINESOLVE_THREADS must be an integer, got 'x'"):
+        run_batch(TINY, games=1)
 
 
 class _InProcessPool:

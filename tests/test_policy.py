@@ -246,6 +246,34 @@ def test_next_move_rejects_non_positive_budget(budget_ms):
     assert next_move(state, 50.0).cell == B  # a positive override is used
 
 
+def _queue_b_then_stop_solving(monkeypatch):
+    """ONE_TWO_ONE with B queued by a first call; a later call that solves
+    instead of serving the queue fails."""
+    state = parse_board(ONE_TWO_ONE_TEXT)
+    assert next_move(state).cell == B
+
+    def no_solve(_):
+        raise AssertionError("a queued move solved again")
+
+    monkeypatch.setattr(policy, "extract_constraints", no_solve)
+    return state
+
+
+@pytest.mark.parametrize("budget_ms", [0.0, -5.0, float("nan")])
+def test_queued_move_still_rejects_non_positive_budget(monkeypatch, budget_ms):
+    state = _queue_b_then_stop_solving(monkeypatch)
+    with pytest.raises(ValueError, match="budget_ms must be positive"):
+        next_move(state, budget_ms)
+    assert next_move(state, 50.0) == (MoveKind.REVEAL_SAFE, B, 0.0, "logic")
+
+
+def test_queued_move_after_a_loss_raises(monkeypatch):
+    state = _queue_b_then_stop_solving(monkeypatch)
+    assert reveal(state, A).mine
+    with pytest.raises(InvalidMoveError, match="game is over"):
+        next_move(state)
+
+
 def test_loss_on_first_move_flag():
     spec = BoardSpec(8, 8, 10)
     seen_first_loss = False

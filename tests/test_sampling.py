@@ -1,8 +1,8 @@
 import math
 import random
+import statistics
 import time
 
-import numpy as np
 import pytest
 
 from minesolve.engine import Cell
@@ -59,16 +59,17 @@ def test_unbiased_within_three_standard_errors():
             for r in range(replicates)
         ]
         for k, n_exact in enumerate(exact_tally.counts):
-            values = np.array([(r.counts[k] if k < len(r.counts) else 0) / draws
-                               for r in reps])
-            se_mean = values.std(ddof=1) / math.sqrt(replicates)
-            assert abs(values.mean() - n_exact) <= 3 * se_mean + 1e-9
+            values = [(r.counts[k] if k < len(r.counts) else 0) / draws
+                      for r in reps]
+            se_mean = statistics.stdev(values) / math.sqrt(replicates)
+            assert abs(statistics.fmean(values) - n_exact) <= 3 * se_mean + 1e-9
 
         exact_marginals = marginals(exact_tally)
         for cell in exact_marginals:
-            values = np.array([marginals(r)[cell] for r in reps])
-            se_mean = values.std(ddof=1) / math.sqrt(replicates)
-            assert abs(values.mean() - exact_marginals[cell]) <= 3 * se_mean + 2e-3
+            values = [marginals(r)[cell] for r in reps]
+            se_mean = statistics.stdev(values) / math.sqrt(replicates)
+            assert abs(statistics.fmean(values) - exact_marginals[cell]) \
+                <= 3 * se_mean + 2e-3
 
 
 def test_identical_seed_and_budget_identical_tally():
