@@ -30,12 +30,7 @@ from .engine import (
     render_board,
     reveal,
 )
-from .exact import (
-    EXACT_VAR_LIMIT,
-    GroupTally,
-    GroupTooLargeError,
-    enumerate_group,
-)
+from .exact import GroupTally, GroupTooLargeError, enumerate_group
 from .grouping import Group, partition
 from .policy import (
     GameRecord,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import BoardConfigError, BoardSpec, DIFFICULTIES
+from .engine import BoardConfigError, BoardSpec, DIFFICULTIES, difficulty_spec
 from .harness import (
     format_ablation_csv,
     format_ablation_text,
@@ -44,14 +44,12 @@ def _add_board_args(parser: argparse.ArgumentParser) -> None:
 
 def _board_from_args(args: argparse.Namespace) -> BoardSpec:
     if args.difficulty:
-        w, h, m = DIFFICULTIES[args.difficulty]
-    elif args.width and args.height and args.mines is not None:
-        w, h, m = args.width, args.height, args.mines
-    else:
+        return difficulty_spec(args.difficulty, first_click_safe=args.first_click_safe)
+    if None in (args.width, args.height, args.mines):
         raise BoardConfigError(
             "specify --difficulty or all of --width/--height/--mines"
         )
-    return BoardSpec(width=w, height=h, mine_count=m,
+    return BoardSpec(width=args.width, height=args.height, mine_count=args.mines,
                      first_click_safe=args.first_click_safe)
 
 
@@ -115,9 +113,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failed = report.failed
         else:
             modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-            bad = [m for m in modes if m not in MODES]
-            if bad or not modes:
-                raise ValueError(f"bad --modes value {args.modes!r}")
             report = run_ablation(
                 board, args.games, base_seed=args.seed, modes=modes,
                 config=config,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .engine import Cell, GameState, neighbor_table
+from .engine import Cell, GameState
 
 SAFE = 0
 MINE = 1
@@ -78,7 +78,7 @@ def extract_constraints(state: GameState,
     unassigned cells. Known mines are subtracted from the clue value; known
     safes are dropped from the variable list."""
     spec = state.spec
-    table = neighbor_table(spec.width, spec.height)
+    table = state.neighbor_table
     known = dict(known) if known else {}
     known_idx = {spec.index(c): v for c, v in known.items()}
     revealed = state.revealed
@@ -104,6 +104,11 @@ def extract_constraints(state: GameState,
     return ConstraintSystem(frozenset(constraints), known)
 
 
+def _size_order(vars_: frozenset[Cell]) -> tuple:
+    """Reduction snapshot order: smaller constraints first, then by cells."""
+    return (len(vars_), tuple(sorted(vars_)))
+
+
 def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
     """Rewrite to a fixpoint of subtraction, unit propagation, substitution
     and duplicate merging. Raises ContradictionError on conflict."""
@@ -123,8 +128,16 @@ def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
         derived[cell] = value
         pending_cells.append(cell)
 
+    # the one contradiction check for every constraint the reduction
+    # stores; an emptied constraint with rhs 0 is dropped
     def insert(vars_: frozenset[Cell], rhs: int) -> None:
         nonlocal steps
+        if not vars_:
+            if rhs != 0:
+                raise ContradictionError(f"empty constraint left with rhs={rhs}")
+            return
+        if not 0 <= rhs <= len(vars_):
+            raise ContradictionError(f"rhs={rhs} impossible for {sorted(vars_)}")
         old = active.get(vars_)
         if old is not None:
             if old != rhs:
@@ -148,24 +161,11 @@ def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
             cell = pending_cells.pop()
             value = known[cell]
             for vars_ in [v for v in active if cell in v]:
-                rhs = active.pop(vars_)
-                new_vars = vars_ - {cell}
-                new_rhs = rhs - value
-                if not new_vars:
-                    if new_rhs != 0:
-                        raise ContradictionError(
-                            f"empty constraint left with rhs={new_rhs}"
-                        )
-                    continue
-                if not 0 <= new_rhs <= len(new_vars):
-                    raise ContradictionError(
-                        f"rhs={new_rhs} impossible for {sorted(new_vars)}"
-                    )
-                insert(new_vars, new_rhs)
+                insert(vars_ - {cell}, active.pop(vars_) - value)
             changed = True
 
         # unit propagation: all-safe / all-mine constraints force values
-        for vars_ in sorted(active, key=lambda v: (len(v), tuple(sorted(v)))):
+        for vars_ in sorted(active, key=_size_order):
             rhs = active.get(vars_)
             if rhs is None:
                 continue
@@ -187,7 +187,7 @@ def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
         for vars_ in active:
             for cell in vars_:
                 by_var.setdefault(cell, []).append(vars_)
-        for small in sorted(active, key=lambda v: (len(v), tuple(sorted(v)))):
+        for small in sorted(active, key=_size_order):
             rhs_small = active.get(small)
             if rhs_small is None:
                 continue
@@ -200,13 +200,7 @@ def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
                     continue
                 del active[big]
                 steps += 1
-                new_vars = big - small
-                new_rhs = rhs_big - rhs_small
-                if not 0 <= new_rhs <= len(new_vars):
-                    raise ContradictionError(
-                        f"rhs={new_rhs} impossible for {sorted(new_vars)}"
-                    )
-                insert(new_vars, new_rhs)
+                insert(big - small, rhs_big - rhs_small)
                 changed = True
 
     constraints = frozenset(Constraint(v, r) for v, r in active.items())

@@ -315,7 +315,10 @@ def run_ablation(board: Union[BoardSpec, str], games: int, base_seed: int = 0,
                  modes: Sequence[str] = ("logic", "exact", "full"),
                  config: Optional[SolverConfig] = None) -> AblationReport:
     """Same seeds under each pipeline truncation, plus paired win deltas;
-    every setting but the mode comes from `config`."""
+    every setting but the mode comes from `config`. ValueError, before any
+    game is played, unless `modes` is a non-empty list of distinct modes."""
+    if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be distinct values from {MODES}, got {modes!r}")
     spec = difficulty_spec(board) if isinstance(board, str) else board
     config = config or SolverConfig()
     reports = {

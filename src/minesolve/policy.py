@@ -73,10 +73,14 @@ def _queue_safe(state: GameState, safe: set[Cell]) -> Cell:
     return state.cell_table[queue.indices[-1]]
 
 
-def _view_seed(revealed: list[bool]) -> int:
-    """Digest of the revealed mask: a sampler seed that depends only on
-    what the solver can see, not on how many moves led there."""
-    return int.from_bytes(blake2b(bytes(revealed), digest_size=8).digest(), "big")
+def _sampler_seed(revealed: list[bool], group: int) -> int:
+    """64-bit seed for sampling the position's group at index `group`: a
+    digest of the revealed mask and that index, so it depends only on what
+    the solver can see, not on how many moves led there, and is the same
+    on every platform."""
+    view = int.from_bytes(blake2b(bytes(revealed), digest_size=8).digest(), "big")
+    key = view.to_bytes(16, "big") + group.to_bytes(16, "big")
+    return int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
 
 
 class MoveKind(Enum):
@@ -149,14 +153,6 @@ class GameRecord:
 def first_move(spec: BoardSpec) -> Cell:
     """Deterministic opening: the board center."""
     return Cell(spec.height // 2, spec.width // 2)
-
-
-def derive_seed(*parts: int) -> int:
-    """Stable 64-bit seed from integer parts (same on every platform)."""
-    h = blake2b(digest_size=8)
-    for p in parts:
-        h.update(int(p).to_bytes(16, "big", signed=True))
-    return int.from_bytes(h.digest(), "big")
 
 
 def argmin_cell(probs: Mapping[Cell, float]) -> tuple[Cell, float]:
@@ -281,7 +277,7 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
         try:
             tallies.append(sample_group(
                 group, deadline=monotonic() + share,
-                rng=derive_seed(_view_seed(revealed), idx),
+                rng=_sampler_seed(revealed, idx),
             ))
         except SamplingStarvedError:
             return None, "fallback"

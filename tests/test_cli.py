@@ -133,6 +133,11 @@ def test_missing_board_arguments_fail():
     assert main(["play", "--games", "3"]) == 2
 
 
+def test_zero_size_board_names_the_size_rule(capsys):
+    assert main(["play", "--width", "0", "--height", "5", "--mines", "1"]) == 2
+    assert "board must be at least 1x1" in capsys.readouterr().err
+
+
 def test_invalid_mine_count_fails():
     assert main(["play", "--width", "3", "--height", "3", "--mines", "10"]) == 2
 
@@ -158,3 +163,13 @@ def test_ablate_rejects_unknown_mode():
         "ablate", "--width", "4", "--height", "4", "--mines", "2",
         "--modes", "psychic",
     ]) == 2
+
+
+def test_ablate_rejects_repeated_mode_before_playing(monkeypatch):
+    played = []
+    monkeypatch.setattr(harness, "run_batch", lambda *args, **kwargs: played.append(args))
+    assert main([
+        "ablate", "--width", "4", "--height", "4", "--mines", "2",
+        "--modes", "full,full",
+    ]) == 2
+    assert not played

@@ -205,6 +205,25 @@ def test_reduce_detects_forced_conflict():
         reduce_system(system(con([A, B], 2), con([A, C], 0)))
 
 
+D, E, F = Cell(0, 3), Cell(0, 4), Cell(0, 5)
+
+
+@pytest.mark.parametrize("constraints, message", [
+    # subset subtraction leaves D = -1
+    ((con([A, B, C], 2), con([A, B, C, D], 1)), "rhs=-1 impossible"),
+    # subset subtraction leaves D + E = 3
+    ((con([A, B, C], 1), con([A, B, C, D, E], 4)), "rhs=3 impossible"),
+    # A, B and C are mines, so substitution empties A + B = 1 with rhs -1
+    ((con([A, B, C], 3), con([A, B], 1)), "empty constraint left with rhs=-1"),
+    # A is a mine and D safe, so substitution leaves B + C = 1 and B + C = 2
+    ((con([A, E], 2), con([D, F], 0), con([A, B, C], 2), con([B, C, D], 2)),
+     "duplicate constraints disagree"),
+])
+def test_rewritten_constraint_contradictions_raise(constraints, message):
+    with pytest.raises(ContradictionError, match=message):
+        reduce_system(system(*constraints))
+
+
 def test_extraction_of_full_position_matches_visible_clues():
     state = parse_board(ONE_TWO_ONE_TEXT)
     got = {(tuple(sorted(c.vars)), c.rhs) for c in extract_constraints(state).constraints}

@@ -181,6 +181,15 @@ def test_ablation_pairs_seeds_and_formats():
     assert csv_body.splitlines()[0] == "seed,won_logic,won_full"
 
 
+@pytest.mark.parametrize("modes", [("full", "full"), (), ("logic", "bogus")])
+def test_ablation_rejects_bad_modes_before_playing(monkeypatch, modes):
+    played = []
+    monkeypatch.setattr(harness, "run_batch", lambda *args, **kwargs: played.append(args))
+    with pytest.raises(ValueError, match="modes"):
+        run_ablation(TINY, games=3, modes=modes)
+    assert not played
+
+
 def test_paired_delta_statistics():
     wins_a = [True] * 70 + [False] * 30
     wins_b = [True] * 50 + [False] * 50

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from minesolve.engine import Cell
-from minesolve.exact import enumerate_group
+from minesolve.exact import box_plan, enumerate_group
 from minesolve.grouping import Group
 from minesolve.sampling import sample_group
 
@@ -43,33 +43,88 @@ def test_sampled_marginals_close_to_exact():
             assert abs(sampled[cell] - exact[cell]) < 0.02
 
 
-def test_unbiased_within_three_standard_errors():
+def path_moments(group):
+    """Walk every path of the group's box plan, as `sample_group` draws
+    them: at each box, j from the range [lo, hi] its checks allow. A draw
+    takes a path with probability 1 / prod(width) and scores weight
+    W = prod(C(size, j)) * prod(width), so per mine count k, N(k) = sum of
+    prod(C(size, j)) and E[W^2] = sum of prod(C(size, j))^2 * prod(width).
+    Box b's mine total scores W * j_b. Returns, per k, (first, second)
+    moment pairs for N(k) and for each box's mine total."""
+    plan = box_plan(group)
+    steps = plan.steps()
+    n = len(group.vars) + 1
+    counts = [[0, 0] for _ in range(n)]
+    box_mines = [[[0, 0] for _ in range(n)] for _ in steps]
+
+    def walk(depth, sums, ways, ways_sq_width, path):
+        if depth == len(steps):
+            k = sum(path)
+            counts[k][0] += ways
+            counts[k][1] += ways_sq_width
+            for b, j in enumerate(path):
+                box_mines[b][k][0] += ways * j
+                box_mines[b][k][1] += ways_sq_width * j * j
+            return
+        check, cis, binom, hi = steps[depth]
+        lo = 0
+        for ci, rhs, least in check:
+            hi = min(hi, rhs - sums[ci])
+            lo = max(lo, least - sums[ci])
+        width = hi - lo + 1
+        for j in range(lo, hi + 1):
+            after = list(sums)
+            for ci in cis:
+                after[ci] += j
+            walk(depth + 1, after, ways * binom[j],
+                 ways_sq_width * binom[j] ** 2 * width, path + [j])
+
+    walk(0, [0] * len(plan.constraints), 1, 1, [])
+    return counts, box_mines
+
+
+# Every check below bounds a mean of draws * replicates independent path
+# weights by Z true standard errors. Z = 5 leaves a two-sided normal tail
+# of 5.7e-7 per check, so by Bonferroni the whole test fails by chance
+# with probability at most 1e-3 for up to 1745 checks; it makes 1165.
+Z = 5.0
+
+
+def test_unbiased_within_true_standard_errors():
     # the raw weighted tallies are the unbiased estimators: per draw,
-    # E[N_hat(k)] equals the exact N(k). Test replicate means at three
-    # standard errors; the normalized marginal (a ratio) gets a small
-    # extra allowance for its O(1/draws) ratio bias.
+    # E[N_hat(k)] equals the exact N(k), and E of a box's mine total its
+    # exact total. The true per-draw variance comes from walking every
+    # path, so the bound does not lean on an estimated spread, which
+    # heavy-tailed path weights make too small.
     rng = random.Random(67)
     replicates = 12
     draws = 1 << 12
+    n = draws * replicates
+    checks = 0
     for trial in range(20):
         group = random_connected_group(rng, rng.randint(8, 12), rng.randint(3, 6))
         exact_tally = enumerate_group(group)
+        counts, box_mines = path_moments(group)
+        top = len(exact_tally.counts)
+        # the walk's first moments are the exact tally
+        assert [first for first, _ in counts[:top]] == exact_tally.counts
+        assert [[first for first, _ in row[:top]] for row in box_mines] == \
+            exact_tally.box_mines
         reps = [
             sample_group(group, max_samples=draws, rng=2000 + 31 * trial + r)
             for r in range(replicates)
         ]
-        for k, n_exact in enumerate(exact_tally.counts):
-            values = [(r.counts[k] if k < len(r.counts) else 0) / draws
-                      for r in reps]
-            se_mean = statistics.stdev(values) / math.sqrt(replicates)
-            assert abs(statistics.fmean(values) - n_exact) <= 3 * se_mean + 1e-9
-
-        exact_marginals = marginals(exact_tally)
-        for cell in exact_marginals:
-            values = [marginals(r)[cell] for r in reps]
-            se_mean = statistics.stdev(values) / math.sqrt(replicates)
-            assert abs(statistics.fmean(values) - exact_marginals[cell]) \
-                <= 3 * se_mean + 2e-3
+        sampled = [(counts, [r.counts for r in reps])]
+        sampled += [(box_mines[b], [r.box_mines[b] for r in reps])
+                    for b in range(len(box_mines))]
+        for moments, rows in sampled:
+            for k in range(top):
+                first, second = moments[k]
+                total = sum(row[k] if k < len(row) else 0 for row in rows)
+                # integer sums: no rounding in the comparison
+                assert abs(total - n * first) <= Z * math.sqrt((second - first ** 2) * n)
+                checks += 1
+    assert checks * 2 * statistics.NormalDist().cdf(-Z) <= 1e-3
 
 
 def test_identical_seed_and_budget_identical_tally():
