@@ -1,11 +1,6 @@
 """Minesweeper engine, probabilistic solver, and benchmark harness."""
 
-from .combine import (
-    BoardContext,
-    CombineInfeasibleError,
-    combine,
-    combine_by_enumeration,
-)
+from .combine import CombineInfeasibleError, combine
 from .constraints import (
     Constraint,
     ConstraintSystem,
@@ -24,14 +19,12 @@ from .engine import (
     InvalidMoveError,
     RevealOutcome,
     difficulty_spec,
-    neighbors,
     new_board,
     parse_board,
     render_board,
     reveal,
 )
-from .exact import GroupTally, GroupTooLargeError, enumerate_group
-from .grouping import Group, partition
+from .exact import GroupTally, GroupTooLargeError, enumerate_group, partition
 from .policy import (
     GameRecord,
     MoveDecision,
@@ -54,7 +47,6 @@ _LAZY = {
     "run_ablation": "harness",
     "run_batch": "harness",
     "wilson_interval": "harness",
-    "exact_board_probabilities": "oracle",
     "exact_view_probabilities": "oracle",
 }
 

@@ -17,7 +17,8 @@ groups' mine-count lists rather than from enumerating vectors; the two
 agree exactly, and the explicit enumerator is kept as a cross-check. The
 cells of a box share one posterior, the box's weighted mine total over
 its size, and so do the sea cells: the sea is one size in and one
-probability out.
+probability out. Its binomials, over the window of mine counts the groups
+leave feasible, take one `math.comb` and then an exact integer step each.
 
 Tallies are integer tables, counted or sampled alike, so the weights are
 Python integers and each posterior is one integer division: it is
@@ -27,7 +28,6 @@ correctly rounded, and equal posteriors come out as equal floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -38,21 +38,6 @@ from .exact import GroupTally
 
 class CombineInfeasibleError(ValueError):
     """No joint assignment is consistent with the global mine count."""
-
-
-@dataclass(frozen=True)
-class BoardContext:
-    """remaining_mines is the total minus mines already known; sea_size
-    counts the covered cells that are unassigned and in no group."""
-
-    remaining_mines: int
-    sea_size: int
-
-    def __post_init__(self) -> None:
-        if self.remaining_mines < 0:
-            raise ValueError("remaining_mines must be >= 0")
-        if self.sea_size < 0:
-            raise ValueError("sea_size must be >= 0")
 
 
 def _conv(a: list, b: list, n: int) -> list:
@@ -71,7 +56,14 @@ def _coef(a: list, b: list, t: int):
                for i in range(max(0, t - len(b) + 1), min(len(a), t + 1)))
 
 
-def _check_disjoint(tallies: Sequence[GroupTally]) -> None:
+def _check_inputs(tallies: Sequence[GroupTally], remaining_mines: int,
+                  sea_size: int) -> None:
+    """ValueError unless the budget and the sea are non-negative and no
+    two groups share a cell."""
+    if remaining_mines < 0:
+        raise ValueError("remaining_mines must be >= 0")
+    if sea_size < 0:
+        raise ValueError("sea_size must be >= 0")
     seen: set[Cell] = set()
     for tally in tallies:
         cells = set().union(*tally.boxes)
@@ -81,25 +73,41 @@ def _check_disjoint(tallies: Sequence[GroupTally]) -> None:
         seen |= cells
 
 
-def combine(tallies: Sequence[GroupTally],
-            ctx: BoardContext) -> tuple[dict[Cell, float], float]:
+def _binomial_window(u: int, lo: int, hi: int) -> list[int]:
+    """C(u, j) for j = lo..hi (empty when lo > hi): one math.comb, then
+    each next one exactly from the last, C(u, j + 1) = C(u, j) * (u - j)
+    // (j + 1)."""
+    if lo > hi:
+        return []
+    c = math.comb(u, lo)
+    out = [c]
+    for j in range(lo, hi):
+        c = c * (u - j) // (j + 1)
+        out.append(c)
+    return out
+
+
+def combine(tallies: Sequence[GroupTally], remaining_mines: int,
+            sea_size: int) -> tuple[dict[Cell, float], float]:
     """(probs, sea_prob): the posterior mine probability of every group
     cell, and the one posterior shared by every sea cell (0.0 when the sea
-    is empty), from group tallies plus the mine budget.
+    is empty), from group tallies plus the mine budget. remaining_mines is
+    the total minus the mines already known; sea_size counts the covered
+    cells that are unassigned and in no group.
 
     These are the exact posteriors under the joint weights above; the
     group cells' probabilities plus sea_size * sea_prob sum to
     remaining_mines.
     """
-    _check_disjoint(tallies)
-    m, u = ctx.remaining_mines, ctx.sea_size
+    _check_inputs(tallies, remaining_mines, sea_size)
+    m, u = remaining_mines, sea_size
     weights = [tally.counts[:m + 1] for tally in tallies]
     # the groups take at most sum(len(w) - 1) mines, so the sea takes at
     # least lo; sea[i] counts placements of lo + i mines in it, and every
     # list index is a mine count minus lo, up to hi = m - lo
     lo = max(0, m - sum(len(w) - 1 for w in weights))
     hi = m - lo
-    sea = [math.comb(u, j) for j in range(lo, min(u, m) + 1)]
+    sea = _binomial_window(u, lo, min(u, m))
 
     # prefix[g]: the sea and groups before g; suffix[g]: groups g onwards
     prefix = [sea]
@@ -132,16 +140,16 @@ def combine(tallies: Sequence[GroupTally],
     return probs, _coef(sea_mines, suffix[0], hi) / (w_total * u)
 
 
-def combine_by_enumeration(tallies: Sequence[GroupTally],
-                           ctx: BoardContext) -> tuple[dict[Cell, float], float]:
+def combine_by_enumeration(tallies: Sequence[GroupTally], remaining_mines: int,
+                           sea_size: int) -> tuple[dict[Cell, float], float]:
     """Reference implementation: enumerate every mine-count vector.
 
     Exponential in the number of groups; retained as the oracle the
     convolution path is checked against. It runs in integer and rational
     arithmetic.
     """
-    _check_disjoint(tallies)
-    m, u = ctx.remaining_mines, ctx.sea_size
+    _check_inputs(tallies, remaining_mines, sea_size)
+    m, u = remaining_mines, sea_size
 
     w_total = 0
     numer = [[0] * len(t.boxes) for t in tallies]  # per group, per box

@@ -1,12 +1,16 @@
-"""Exhaustive per-group model counting, tallied by mine count and by box.
+"""Split a reduced system into groups and count each group exactly,
+tallied by mine count and by box.
 
-Cells in exactly the same constraints form a box. A group's tally records
-N(k), the number of satisfying assignments placing exactly k mines, and
-per box the total number of mines those assignments put in it.
-`box_plan` orders a group's boxes for both the exact search here and the
-sampler. Groups are small (the reduction and decomposition stages keep
-them that way), so a pruned depth-first search over the boxes is exact
-and fast.
+Constraints that share a variable must be counted together; constraints
+in different connected components are independent and can be tallied
+separately. `partition` finds the components by one walk from cell to
+constraint to cell and emits each as a `BoxPlan`: cells in exactly the
+same constraints form a box, and the plan orders the boxes for both the
+exact search here and the sampler. A group's tally records N(k), the
+number of satisfying assignments placing exactly k mines, and per box
+the total number of mines those assignments put in it. Groups are small
+(the reduction and decomposition stages keep them that way), so a pruned
+depth-first search over the boxes is exact and fast.
 
 Most groups met in play repeat a box structure counted earlier in the
 process (the same boxes, sizes and right-hand sides on other cells), so
@@ -24,9 +28,8 @@ from math import comb
 from time import monotonic
 from typing import NamedTuple
 
-from .constraints import Constraint, ContradictionError
+from .constraints import Constraint, ConstraintSystem, ContradictionError
 from .engine import Cell
-from .grouping import Group
 
 # Larger groups are refused: `full` mode samples such a group, and `exact`
 # mode takes the density estimate for the guess. The limit is not a cost
@@ -80,13 +83,16 @@ def _binomials(size: int) -> tuple[int, ...]:
 
 
 class BoxPlan(NamedTuple):
-    """A group's boxes in the order they are assigned, each with its key:
-    the indices of the constraints its cells are in. Boxes go
-    most-constrained first, ties in cell order."""
+    """One group: its boxes in the order they are assigned, each with its
+    key, the ascending indices into `constraints` of the constraints its
+    cells are in. Boxes go most-constrained first, ties in cell order.
+    `constraints` are in `Constraint.sort_key` order and `vars` holds the
+    group's cells in row-major order."""
 
     boxes: tuple[tuple[Cell, ...], ...]
     keys: list[tuple[int, ...]]
     constraints: tuple[Constraint, ...]
+    vars: tuple[Cell, ...]
 
     def steps(self) -> list[tuple[list[tuple[int, int, int]], tuple[int, ...],
                                   tuple[int, ...], int]]:
@@ -117,26 +123,59 @@ class BoxPlan(NamedTuple):
                           [row[:top] for row in box_mines], **fields)
 
 
-def box_plan(group: Group) -> BoxPlan:
-    """The group's boxes and their search order."""
-    member = {cell: [] for cell in group.vars}
-    for ci, constraint in enumerate(group.constraints):
+def partition(system: ConstraintSystem) -> list[BoxPlan]:
+    """Split into variable-disjoint groups, ordered by smallest cell, each
+    as the plan its count and its samples walk."""
+    # constraints in sort-key order, so each group's ascending indices
+    # list its constraints in that order too
+    constraints = sorted(system.constraints, key=Constraint.sort_key)
+    touching: dict[Cell, list[int]] = {}
+    for ci, constraint in enumerate(constraints):
         for cell in constraint.vars:
-            member[cell].append(ci)
-    boxes: dict[tuple[int, ...], list[Cell]] = {}
-    for cell in sorted(group.vars):
-        boxes.setdefault(tuple(member[cell]), []).append(cell)
-    # most-constrained first; the sort is stable, so ties keep cell order
-    keys = sorted(boxes, key=len, reverse=True)
-    return BoxPlan(tuple(tuple(boxes[key]) for key in keys), keys,
-                   group.constraints)
+            touching.setdefault(cell, []).append(ci)
+    seen: set[Cell] = set()
+    taken = [False] * len(constraints)
+    plans = []
+    for start in sorted(touching):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, cells, taking = [start], [], []
+        while stack:
+            cell = stack.pop()
+            cells.append(cell)
+            for ci in touching[cell]:
+                if taken[ci]:
+                    continue
+                taken[ci] = True
+                taking.append(ci)
+                for other in constraints[ci].vars:
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        taking.sort()
+        cells.sort()
+        # a box is the cells touching the same constraints; the sorted
+        # global indices map in order onto the group's local ones
+        boxes: dict[tuple[int, ...], list[Cell]] = {}
+        for cell in cells:
+            boxes.setdefault(tuple(touching[cell]), []).append(cell)
+        local = {ci: i for i, ci in enumerate(taking)}
+        # most-constrained first; the sort is stable, so ties keep cell order
+        order = sorted(boxes, key=len, reverse=True)
+        plans.append(BoxPlan(
+            tuple(tuple(boxes[key]) for key in order),
+            [tuple(local[ci] for ci in key) for key in order],
+            tuple(constraints[ci] for ci in taking),
+            tuple(cells),
+        ))
+    return plans
 
 
-def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
+def enumerate_group(plan: BoxPlan, deadline: float | None = None) -> GroupTally:
     """Count every satisfying assignment of the group exactly.
 
-    The group's boxes (`box_plan`) are assigned depth-first, in plan
-    order, each taking j mines at once with weight C(size, j); a branch
+    The plan's boxes are assigned depth-first, in plan order, each taking j mines at once with weight C(size, j); a branch
     survives only while each constraint's running sum can still reach its
     rhs. nodes_visited counts terminal states (dead ends plus box-level
     leaves, each standing for one or more solutions), which never exceeds
@@ -151,7 +190,7 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     the MEMO_LIMIT most recently counted ones is not searched again: its
     tally is built from the kept counts and reports nodes_visited 0.
     """
-    n = len(group.vars)
+    n = len(plan.vars)
     if n == 0:
         raise ValueError("cannot count an empty group")
     if n > EXACT_VAR_LIMIT:
@@ -159,9 +198,8 @@ def enumerate_group(group: Group, deadline: float | None = None) -> GroupTally:
     if deadline is not None and monotonic() > deadline:
         raise GroupTooLargeError("exact enumeration ran past its deadline")
 
-    plan = box_plan(group)
     structure = (tuple(zip(plan.keys, map(len, plan.boxes))),
-                 tuple(constraint.rhs for constraint in group.constraints))
+                 tuple(constraint.rhs for constraint in plan.constraints))
     kept = _memo.get(structure)
     if kept is None:
         counts, box_totals, nodes = _search(plan, n, deadline)

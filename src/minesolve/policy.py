@@ -23,7 +23,7 @@ from operator import itemgetter
 from time import monotonic
 from typing import Mapping, NamedTuple, Optional
 
-from .combine import BoardContext, CombineInfeasibleError, combine
+from .combine import CombineInfeasibleError, combine
 from .constraints import (
     ConstraintSystem,
     deductions,
@@ -39,8 +39,7 @@ from .engine import (
     new_board,
     reveal,
 )
-from .exact import GroupTooLargeError, enumerate_group
-from .grouping import Group, partition
+from .exact import BoxPlan, GroupTooLargeError, enumerate_group, partition
 from .sampling import SamplingStarvedError, sample_group
 
 MODES = ("full", "exact", "logic")
@@ -261,7 +260,7 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
     is left, seeded from the `revealed` mask. `exact` mode is `full`
     without the sampler: an oversized group leaves it without a map."""
     tallies = []
-    oversized: list[tuple[int, Group]] = []
+    oversized: list[tuple[int, BoxPlan]] = []
     for idx, group in enumerate(partition(reduced)):
         try:
             tallies.append(enumerate_group(group, deadline=deadline))
@@ -282,7 +281,7 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
         except SamplingStarvedError:
             return None, "fallback"
     try:
-        fused = combine(tallies, BoardContext(remaining_mines, sea_size))
+        fused = combine(tallies, remaining_mines, sea_size)
     except CombineInfeasibleError:
         return None, "fallback"
     return fused, "sampled" if oversized else "exact"

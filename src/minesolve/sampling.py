@@ -1,10 +1,10 @@
 """Approximate tallies for groups too large to count, within a budget.
 
-Each draw walks the exact search's box plan (`box_plan`) down one random
-path, as in Knuth's estimator of a backtrack tree (Math. Comp. 29, 1975):
-at each box it draws j mines uniformly from the range [lo, hi] the
-checks allow and multiplies the path's weight by C(size, j) *
-(hi - lo + 1). A dead end (an empty range) adds nothing. Each weight's
+Each draw walks the group's `BoxPlan` from `partition`, the plan the
+exact search walks, down one random path, as in Knuth's estimator of a
+backtrack tree (Math. Comp. 29, 1975): at each box it draws j mines
+uniformly from the range [lo, hi] the checks allow and multiplies the
+path's weight by C(size, j) * (hi - lo + 1). A dead end (an empty range) adds nothing. Each weight's
 expectation is the exact count, and the weights are integers, so the
 tallies are integer tables like the exact ones, scaled by the number of
 draws - which is all the combiner needs.
@@ -16,8 +16,7 @@ from random import Random
 from time import monotonic
 from typing import Optional
 
-from .exact import GroupTally, box_plan
-from .grouping import Group
+from .exact import BoxPlan, GroupTally
 
 MAX_SAMPLES_DEFAULT = 1 << 14
 
@@ -26,7 +25,7 @@ class SamplingStarvedError(RuntimeError):
     """No accepted samples within the budget; use the fallback heuristic."""
 
 
-def sample_group(group: Group,
+def sample_group(plan: BoxPlan,
                  max_samples: int = MAX_SAMPLES_DEFAULT,
                  deadline: Optional[float] = None,
                  rng: Optional[int] = None) -> GroupTally:
@@ -34,15 +33,14 @@ def sample_group(group: Group,
 
     `deadline` is an optional time.monotonic() cutoff, checked between
     draws; sampling stops at the first check past it, after at least one
-    draw. Identical (group, rng seed, max_samples) inputs give identical
+    draw. Identical (plan, rng seed, max_samples) inputs give identical
     tallies when the deadline does not cut in.
     """
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
-    if not group.vars:
+    if not plan.vars:
         raise ValueError("cannot sample an empty group")
 
-    plan = box_plan(group)
     steps = plan.steps()
     randrange = Random(rng).randrange
     n_constraints = len(plan.constraints)
@@ -80,7 +78,7 @@ def sample_group(group: Group,
 
     if not paths:
         raise SamplingStarvedError(f"no satisfying assignment found in {draws} draws")
-    counts = [0] * (len(group.vars) + 1)
+    counts = [0] * (len(plan.vars) + 1)
     box_totals = [[0] * len(counts) for _ in steps]
     for path, weight in paths.items():
         k = sum(path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from minesolve.combine import BoardContext, combine
+from minesolve.combine import combine
 from minesolve.constraints import (
     Constraint,
     ConstraintSystem,
@@ -13,8 +13,7 @@ from minesolve.constraints import (
     reduce_system,
 )
 from minesolve.engine import BoardSpec, Cell, GameState, GameStatus, new_board, reveal
-from minesolve.exact import enumerate_group
-from minesolve.grouping import Group, partition
+from minesolve.exact import BoxPlan, enumerate_group, partition
 from minesolve.policy import play_game
 
 ONE_TWO_ONE_TEXT = "3 2 2\n*.*\n...\n\n###\nRRR\n"
@@ -31,6 +30,13 @@ def con(vars_, rhs: int) -> Constraint:
 
 def system(*constraints: Constraint) -> ConstraintSystem:
     return ConstraintSystem(frozenset(constraints), {})
+
+
+def group_of(*constraints: Constraint) -> BoxPlan:
+    """The plan of the one group the constraints form."""
+    groups = partition(system(*constraints))
+    assert len(groups) == 1
+    return groups[0]
 
 
 def tally_dict(tally) -> dict[tuple[Cell, int], int]:
@@ -77,7 +83,7 @@ def random_consistent_system(rng: random.Random, n_vars: int,
 
 
 def random_connected_group(rng: random.Random, n_vars: int,
-                           n_constraints: int) -> Group:
+                           n_constraints: int) -> BoxPlan:
     """A consistent group whose constraints chain over shared variables."""
     variables = [Cell(0, i) for i in range(n_vars)]
     hidden = {v: rng.randint(0, 1) for v in variables}
@@ -136,7 +142,7 @@ def pipeline_probability_map(state: GameState) -> PipelineResult:
     group_vars = reduced.variables()
     sea = [c for c in covered if c not in group_vars]
     tallies = [enumerate_group(g) for g in partition(reduced)]
-    pmap, sea_prob = combine(tallies, BoardContext(remaining, len(sea)))
+    pmap, sea_prob = combine(tallies, remaining, len(sea))
     pmap.update(dict.fromkeys(sea, sea_prob))
     probs = dict(pmap)
     for cell, value in reduced.known.items():

@@ -1,8 +1,8 @@
 """The benchmark's tracer and runner still fit the package.
 
 `bench/spans.py` wraps ten names in `minesolve.policy` and its counters
-read `steps`, `derived`, `Group.vars`, `nodes_visited`, `samples_used`,
-`kind` and `pipeline_depth`. A rename in `src/` would otherwise show only
+read `steps`, `derived`, a group plan's `vars`, `nodes_visited`,
+`samples_used`, `kind` and `pipeline_depth`. A rename in `src/` would otherwise show only
 as `trace.uncalled` in a traced benchmark run. The module is loaded from
 its file and only read, never edited.
 

@@ -5,14 +5,13 @@ from itertools import combinations
 import pytest
 
 from minesolve.combine import (
-    BoardContext,
     CombineInfeasibleError,
+    _binomial_window,
     combine,
     combine_by_enumeration,
 )
 from minesolve.engine import Cell
 from minesolve.exact import enumerate_group
-from minesolve.grouping import Group
 from minesolve.sampling import sample_group
 
 from helpers import (
@@ -21,14 +20,15 @@ from helpers import (
     C,
     cells,
     con,
+    group_of,
     pipeline_probability_map,
     random_connected_group,
     random_position,
 )
 
 
-def tally_of(*constraints, variables):
-    return enumerate_group(Group(constraints=tuple(constraints), vars=tuple(variables)))
+def tally_of(*constraints):
+    return enumerate_group(group_of(*constraints))
 
 
 def brute_force_with_sea(group_cells, constraints, sea, total_mines):
@@ -59,7 +59,7 @@ def test_one_group_with_sea_matches_direct_enumeration():
     expected = brute_force_with_sea([A, B], constraints, SEA2, 2)
     assert expected == {A: 0.5, B: 0.5, Cell(5, 0): 0.5, Cell(5, 1): 0.5}
 
-    fused = combine([tally_of(*constraints, variables=(A, B))], BoardContext(2, 2))
+    fused = combine([tally_of(*constraints)], 2, 2)
     pmap, sea_prob = fused
     assert set(pmap) == {A, B}
     for cell, want in expected.items():
@@ -69,15 +69,15 @@ def test_one_group_with_sea_matches_direct_enumeration():
 
 
 def test_no_groups_uniform_sea():
-    pmap, sea_prob = combine([], BoardContext(2, 5))
+    pmap, sea_prob = combine([], 2, 5)
     assert sea_prob == pytest.approx(0.4, abs=1e-12)
     assert pmap == {}
 
 
 def test_single_triple_group_no_sea():
     pmap, sea_prob = combine(
-        [tally_of(con([A, B, C], 2), variables=(A, B, C))],
-        BoardContext(2, 0),
+        [tally_of(con([A, B, C], 2))],
+        2, 0,
     )
     assert all(pmap[c] == pytest.approx(2 / 3, abs=1e-12) for c in (A, B, C))
     assert sea_prob == 0.0
@@ -85,8 +85,8 @@ def test_single_triple_group_no_sea():
 
 def test_two_groups_no_sea_product_weights():
     d, e, f = cells((2, 0), (2, 1), (2, 2))
-    t1 = tally_of(con([A, B], 1), variables=(A, B))
-    t2 = tally_of(con([d, e, f], 2), variables=(d, e, f))
+    t1 = tally_of(con([A, B], 1))
+    t2 = tally_of(con([d, e, f], 2))
     expected = brute_force_with_sea(
         [A, B, d, e, f],
         [con([A, B], 1), con([d, e, f], 2)],
@@ -94,35 +94,35 @@ def test_two_groups_no_sea_product_weights():
     )
     assert expected[A] == 0.5 and expected[d] == pytest.approx(2 / 3)
 
-    pmap, _ = combine([t1, t2], BoardContext(3, 0))
+    pmap, _ = combine([t1, t2], 3, 0)
     for cell, want in expected.items():
         assert pmap[cell] == pytest.approx(want, abs=1e-12)
 
 
 def test_impossible_mine_budget_raises():
     d, e, f = cells((2, 0), (2, 1), (2, 2))
-    t1 = tally_of(con([A, B], 1), variables=(A, B))
-    t2 = tally_of(con([d, e, f], 2), variables=(d, e, f))
+    t1 = tally_of(con([A, B], 1))
+    t2 = tally_of(con([d, e, f], 2))
     with pytest.raises(CombineInfeasibleError):
-        combine([t1, t2], BoardContext(1, 0))
+        combine([t1, t2], 1, 0)
     with pytest.raises(CombineInfeasibleError):
-        combine_by_enumeration([t1, t2], BoardContext(1, 0))
+        combine_by_enumeration([t1, t2], 1, 0)
 
 
 def test_vector_pruning_drops_infeasible_counts():
     # sea of 1: the pair group must take exactly enough mines that the
     # leftover fits, so k=0 for the pair is impossible with M=3
     d, e = cells((2, 0), (2, 1))
-    t1 = tally_of(con([A, B], 1), variables=(A, B))
-    t2 = tally_of(con([d, e], 1), variables=(d, e))
-    fused = combine([t1, t2], BoardContext(3, 1))
+    t1 = tally_of(con([A, B], 1))
+    t2 = tally_of(con([d, e], 1))
+    fused = combine([t1, t2], 3, 1)
     assert fused[1] == pytest.approx(1.0, abs=1e-12)
     assert mass(fused, 1) == pytest.approx(3.0, abs=1e-9)
 
 
 def random_tally_cases():
-    """(tallies, ctx) pairs of 1-4 exact groups, a sea of 0-6 cells and a
-    mine budget that is sometimes infeasible."""
+    """(tallies, mine budget, sea size) cases of 1-4 exact groups, a sea of
+    0-6 cells and a mine budget that is sometimes infeasible."""
     rng = random.Random(89)
     for _ in range(30):
         tallies = []
@@ -132,21 +132,21 @@ def random_tally_cases():
             vs = cells(*((g, used + i) for i in range(n)))
             used += n
             hidden = rng.randint(0, n)
-            tallies.append(tally_of(con(vs, hidden), variables=vs))
+            tallies.append(tally_of(con(vs, hidden)))
         sea_size = rng.randint(0, 6)
         m = rng.randint(0, sum(len(t.counts) - 1 for t in tallies) + sea_size)
-        yield tallies, BoardContext(m, sea_size)
+        yield tallies, m, sea_size
 
 
 def test_dp_equals_enumeration_on_random_tallies():
-    for tallies, ctx in random_tally_cases():
+    for tallies, m, u in random_tally_cases():
         try:
-            direct = combine_by_enumeration(tallies, ctx)
+            direct = combine_by_enumeration(tallies, m, u)
         except CombineInfeasibleError:
             with pytest.raises(CombineInfeasibleError):
-                combine(tallies, ctx)
+                combine(tallies, m, u)
             continue
-        dp, dp_sea = combine(tallies, ctx)
+        dp, dp_sea = combine(tallies, m, u)
         assert set(dp) == set(direct[0])
         for cell in dp:
             assert dp[cell] == pytest.approx(direct[0][cell], abs=1e-12)
@@ -157,28 +157,28 @@ def test_exact_tallies_match_enumeration_bit_for_bit():
     # both sides divide exact integers once, so each posterior is the
     # correctly rounded rational and the floats are identical
     checked = 0
-    for tallies, ctx in random_tally_cases():
+    for tallies, m, u in random_tally_cases():
         try:
-            direct = combine_by_enumeration(tallies, ctx)
+            direct = combine_by_enumeration(tallies, m, u)
         except CombineInfeasibleError:
             continue
-        assert combine(tallies, ctx) == direct
+        assert combine(tallies, m, u) == direct
         checked += 1
     assert checked >= 10
 
 
 def mixed_tally_cases():
-    """(tallies, ctx) pairs mixing sampled and counted groups: a sampled
-    random group on row 0, a counted one-clue group on row 1, up to two
-    more one-clue groups either way, a sea of 0-8 cells and a mine budget
-    that is mostly feasible."""
+    """(tallies, mine budget, sea size) cases mixing sampled and counted
+    groups: a sampled random group on row 0, a counted one-clue group on
+    row 1, up to two more one-clue groups either way, a sea of 0-8 cells
+    and a mine budget that is mostly feasible."""
     rng = random.Random(103)
     for case in range(16):
         group = random_connected_group(rng, rng.randint(6, 10), rng.randint(2, 4))
         tallies = [sample_group(group, max_samples=1 << 10, rng=case)]
         for g in range(1, rng.randint(2, 4)):
             vs = cells(*((g, i) for i in range(rng.randint(2, 5))))
-            group = Group(constraints=(con(vs, rng.randint(0, len(vs))),), vars=tuple(vs))
+            group = group_of(con(vs, rng.randint(0, len(vs))))
             if g > 1 and rng.random() < 0.5:
                 tallies.append(sample_group(group, max_samples=1 << 8, rng=case))
             else:
@@ -186,21 +186,21 @@ def mixed_tally_cases():
         sea_size = rng.randint(0, 8)
         fewest = sum(next(k for k, n in enumerate(t.counts) if n) for t in tallies)
         most = sum(len(t.counts) - 1 for t in tallies) + sea_size
-        yield tallies, BoardContext(rng.randint(max(0, fewest - 1), most), sea_size)
+        yield tallies, rng.randint(max(0, fewest - 1), most), sea_size
 
 
 def test_mixed_tallies_match_enumeration_bit_for_bit():
     # sampled tallies are integer tables too, so the same single integer
     # division gives the same floats on both sides
     checked = 0
-    for tallies, ctx in mixed_tally_cases():
+    for tallies, m, u in mixed_tally_cases():
         try:
-            direct = combine_by_enumeration(tallies, ctx)
+            direct = combine_by_enumeration(tallies, m, u)
         except CombineInfeasibleError:
             with pytest.raises(CombineInfeasibleError):
-                combine(tallies, ctx)
+                combine(tallies, m, u)
             continue
-        assert combine(tallies, ctx) == direct
+        assert combine(tallies, m, u) == direct
         checked += 1
     assert checked >= 10
 
@@ -210,9 +210,8 @@ def test_combine_accepts_sampled_tallies():
     group = random_connected_group(rng, 9, 4)
     sampled = sample_group(group, max_samples=1 << 14, rng=9)
     exact = enumerate_group(group)
-    ctx = BoardContext(len(exact.counts), 3)
-    approx, approx_sea = combine([sampled], ctx)
-    truth, truth_sea = combine([exact], ctx)
+    approx, approx_sea = combine([sampled], len(exact.counts), 3)
+    truth, truth_sea = combine([exact], len(exact.counts), 3)
     for cell in truth:
         assert approx[cell] == pytest.approx(truth[cell], abs=0.03)
     assert approx_sea == pytest.approx(truth_sea, abs=0.03)
@@ -223,16 +222,15 @@ def test_sampled_tally_on_hard_sized_board_stays_in_range():
     # groups and one sampled group whose weights are around 2^56 per draw
     wide = [Cell(20, i) for i in range(58)]
     sampled = sample_group(
-        Group(constraints=(con(wide[:30], 10), con(wide[28:], 10)),
-              vars=tuple(wide)),
+        group_of(con(wide[:30], 10), con(wide[28:], 10)),
         max_samples=1 << 12, rng=5,
     )
     assert max(sampled.counts) > 10 ** 17
     tallies = []
     for g in range(5):
         vs = cells(*((g, i) for i in range(4)))
-        tallies.append(tally_of(con(vs[:3], 1), con(vs[1:], 2), variables=vs))
-    fused = combine(tallies + [sampled], BoardContext(90, 400))
+        tallies.append(tally_of(con(vs[:3], 1), con(vs[1:], 2)))
+    fused = combine(tallies + [sampled], 90, 400)
     pmap, sea_prob = fused
     assert len(pmap) == 5 * 4 + 58
     for p in [*pmap.values(), sea_prob]:
@@ -262,11 +260,11 @@ def test_mass_conservation_on_game_positions():
 
 def test_marginals_stable_across_mine_budget_sweep():
     d, e, f = cells((2, 0), (2, 1), (2, 2))
-    t1 = tally_of(con([A, B], 1), variables=(A, B))
-    t2 = tally_of(con([d, e, f], 1), variables=(d, e, f))
+    t1 = tally_of(con([A, B], 1))
+    t2 = tally_of(con([d, e, f], 1))
     last = None
     for m in range(2, 12):
-        fused = combine([t1, t2], BoardContext(m, 10))
+        fused = combine([t1, t2], m, 10)
         pmap, sea_p = fused
         for p in [*pmap.values(), sea_p]:
             assert 0.0 <= p <= 1.0 and not math.isnan(p)
@@ -277,9 +275,20 @@ def test_marginals_stable_across_mine_budget_sweep():
 
 
 def test_overlapping_groups_rejected():
-    t1 = tally_of(con([A, B], 1), variables=(A, B))
-    t2 = tally_of(con([B, C], 1), variables=(B, C))
+    t1 = tally_of(con([A, B], 1))
+    t2 = tally_of(con([B, C], 1))
     with pytest.raises(ValueError):
-        combine([t1, t2], BoardContext(2, 0))
+        combine([t1, t2], 2, 0)
     with pytest.raises(ValueError):
-        BoardContext(2, -1)
+        combine([], 2, -1)
+    with pytest.raises(ValueError):
+        combine([], -1, 2)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2, 5, 13, 400])
+def test_binomial_window_matches_math_comb(u):
+    # every window lo..hi with hi <= u, the empty ones (lo > hi) included
+    for lo in range(min(u, 20) + 2):
+        for hi in [*range(min(u, 20) + 1), u]:
+            assert _binomial_window(u, lo, hi) == [
+                math.comb(u, j) for j in range(lo, hi + 1)]

@@ -13,12 +13,13 @@ from minesolve.constraints import ContradictionError
 from minesolve.engine import Cell
 from minesolve.exact import (
     EXACT_VAR_LIMIT,
+    BoxPlan,
     GroupTooLargeError,
     enumerate_group,
+    partition,
 )
-from minesolve.grouping import Group, partition
 
-from helpers import A, B, C, cells, con, random_connected_group, system, tally_dict
+from helpers import A, B, C, cells, con, group_of, random_connected_group, system, tally_dict
 
 
 def naive_tally(group):
@@ -37,12 +38,6 @@ def naive_tally(group):
             if bit:
                 cell_counts[(v, k)] = cell_counts.get((v, k), 0) + 1
     return [counts.get(k, 0) for k in range(max(counts, default=-1) + 1)], cell_counts
-
-
-def group_of(*constraints) -> Group:
-    groups = partition(system(*constraints))
-    assert len(groups) == 1
-    return groups[0]
 
 
 def test_pair_group():
@@ -113,19 +108,6 @@ def test_nodes_never_exceed_two_to_the_n():
         assert tally.nodes_visited <= 2 ** len(group.vars)
 
 
-def test_tally_independent_of_variable_order():
-    rng = random.Random(53)
-    group = random_connected_group(rng, 9, 4)
-    base = enumerate_group(group)
-    for _ in range(5):
-        shuffled = list(group.vars)
-        rng.shuffle(shuffled)
-        permuted = Group(constraints=group.constraints, vars=tuple(shuffled))
-        tally = enumerate_group(permuted)
-        assert (tally.boxes, tally.counts, tally.box_mines) == (
-            base.boxes, base.counts, base.box_mines)
-
-
 def test_group_above_threshold_rejected():
     big = cells(*((0, i) for i in range(EXACT_VAR_LIMIT + 1)))
     group = group_of(con(big, 3))
@@ -135,21 +117,18 @@ def test_group_above_threshold_rejected():
 
 def test_inconsistent_group_rejected():
     # A+B=2 forces both mines, B+C=0 forces B safe
-    group = Group(
-        constraints=(con([A, B], 2), con([B, C], 0), con([A, C], 1)),
-        vars=(A, B, C),
-    )
+    group = group_of(con([A, B], 2), con([B, C], 0), con([A, C], 1))
     with pytest.raises(ContradictionError):
         enumerate_group(group)
 
 
 def test_empty_group_rejected():
     with pytest.raises(ValueError, match="empty group"):
-        enumerate_group(Group(constraints=(), vars=()))
+        enumerate_group(BoxPlan((), [], (), ()))
 
 
 @st.composite
-def random_groups(draw):
+def random_systems(draw):
     """Up to 12 variables and 1-6 constraints. Each rhs is the sum of a
     hidden assignment over the constraint's cells, or (sometimes) any
     value in range, so unsatisfiable groups occur too."""
@@ -164,43 +143,39 @@ def random_groups(draw):
         else:
             rhs = draw(st.integers(0, len(members)))
         constraints[frozenset(members)] = rhs
-    group_vars = sorted({variables[i] for members in constraints for i in members})
-    return Group(
-        constraints=tuple(con([variables[i] for i in m], r) for m, r in constraints.items()),
-        vars=tuple(group_vars),
-    )
+    return system(*(con([variables[i] for i in m], r) for m, r in constraints.items()))
 
 
 @settings(max_examples=300, deadline=None)
-@given(random_groups())
-def test_matches_brute_force_property(group):
-    counts, cell_counts = naive_tally(group)
-    if not counts:
-        with pytest.raises(ContradictionError):
-            enumerate_group(group)
-        return
-    tally = enumerate_group(group)
-    assert tally.counts == counts
-    per_cell = tally_dict(tally)
-    assert {k: v for k, v in per_cell.items() if v} == cell_counts
-    assert set(per_cell) == {(v, k) for v in group.vars for k in range(len(counts))}
-    assert tally.nodes_visited <= 2 ** len(group.vars)
+@given(random_systems())
+def test_matches_brute_force_property(sys_):
+    for group in partition(sys_):
+        counts, cell_counts = naive_tally(group)
+        if not counts:
+            with pytest.raises(ContradictionError):
+                enumerate_group(group)
+            continue
+        tally = enumerate_group(group)
+        assert tally.counts == counts
+        per_cell = tally_dict(tally)
+        assert {k: v for k, v in per_cell.items() if v} == cell_counts
+        assert set(per_cell) == {(v, k) for v in group.vars for k in range(len(counts))}
+        assert tally.nodes_visited <= 2 ** len(group.vars)
 
 
-def loose_group() -> Group:
+def loose_group() -> BoxPlan:
     """22 cells under three overlapping 8-cell clues: 49,196 solutions."""
     row = [Cell(0, i) for i in range(22)]
-    constraints = (con(row[0:8], 3), con(row[7:15], 3), con(row[14:22], 3))
-    return Group(constraints=constraints, vars=tuple(row))
+    return group_of(con(row[0:8], 3), con(row[7:15], 3), con(row[14:22], 3))
 
 
-def scattered_group() -> Group:
+def scattered_group() -> BoxPlan:
     """22 cells under 8 seeded clues of 6-12 cells, no two cells in the
     same clues: every box is one cell, and the search needs ~10k nodes."""
     rng = random.Random(1365)
     row = [Cell(0, i) for i in range(22)]
     clues = [rng.sample(row, rng.randint(6, 12)) for _ in range(8)]
-    return Group(constraints=tuple(con(c, len(c) // 2) for c in clues), vars=tuple(row))
+    return group_of(*(con(c, len(c) // 2) for c in clues))
 
 
 def test_loose_group_counted_by_boxes():
@@ -247,12 +222,12 @@ def test_node_cap_raises(monkeypatch):
     assert time.monotonic() - start < 1.0
 
 
-def relabelled(group: Group, relabel) -> Group:
+def relabelled(group: BoxPlan, relabel) -> BoxPlan:
     """The group with every cell renamed by `relabel`."""
     return group_of(*(con([relabel(v) for v in c.vars], c.rhs) for c in group.constraints))
 
 
-def cold_count(group: Group):
+def cold_count(group: BoxPlan):
     exact._memo.clear()
     return enumerate_group(group)
 

@@ -1,3 +1,7 @@
+"""`partition`: its groups are the connected components of the
+shared-variable graph, and each comes out as the box plan that counting
+and sampling walk."""
+
 import random
 from collections import deque
 
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 
 from minesolve.constraints import ConstraintSystem
 from minesolve.engine import Cell
-from minesolve.grouping import partition
+from minesolve.exact import partition
 
 from helpers import cells, con, random_consistent_system, system
 
@@ -36,6 +40,45 @@ def bfs_components(constraints):
                     queue.append(u)
         components.append(frozenset(comp))
     return sorted(components, key=min)
+
+
+def check_plan(plan):
+    """The plan's boxes, keys, constraints and vars agree: each box's cells
+    lie in exactly the constraints its ascending key names, boxes go
+    most-constrained first with ties in row-major order, constraints are
+    in sort-key order, and vars is the sorted union of the boxes."""
+    assert len(plan.boxes) == len(plan.keys)
+    for box, key in zip(plan.boxes, plan.keys):
+        assert list(key) == sorted(set(key))
+        for cell in box:
+            assert tuple(ci for ci, c in enumerate(plan.constraints)
+                         if cell in c.vars) == key
+        assert list(box) == sorted(box)
+    assert len(set(plan.keys)) == len(plan.keys)
+    order = [(-len(key), box[0]) for box, key in zip(plan.boxes, plan.keys)]
+    assert order == sorted(order)
+    assert list(plan.constraints) == sorted(plan.constraints, key=lambda c: c.sort_key())
+    assert list(plan.vars) == sorted(plan.vars)
+    assert sorted(cell for box in plan.boxes for cell in box) == list(plan.vars)
+
+
+def test_plans_on_random_systems():
+    rng = random.Random(29)
+    for _ in range(200):
+        sys_ = random_consistent_system(rng, rng.randint(1, 16), rng.randint(1, 10))
+        for plan in partition(sys_):
+            check_plan(plan)
+
+
+def test_plan_of_one_two_one():
+    # A+B=1, A+B+C=2, B+C=1: boxes {A}, {B}, {C}; B is in all three
+    plan, = partition(system(con([a, b], 1), con([a, b, c], 2), con([b, c], 1)))
+    assert [c.sort_key() for c in plan.constraints] == [
+        con([a, b], 1).sort_key(), con([b, c], 1).sort_key(),
+        con([a, b, c], 2).sort_key()]
+    assert plan.boxes == ((b,), (a,), (c,))
+    assert plan.keys == [(0, 1, 2), (0, 2), (1, 2)]
+    assert plan.vars == (a, b, c)
 
 
 def test_partition_disjoint_constraints():
@@ -114,8 +157,7 @@ def test_partition_property(sys_):
     assert len(placed) == len(sys_.constraints)
     assert set(placed) == sys_.constraints
     for g in groups:
-        assert list(g.constraints) == sorted(g.constraints, key=lambda c: c.sort_key())
-        assert list(g.vars) == sorted(g.vars)
+        check_plan(g)
         assert all(c.vars <= set(g.vars) for c in g.constraints)
     firsts = [g.vars[0] for g in groups]
     assert firsts == sorted(firsts)

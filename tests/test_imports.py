@@ -24,15 +24,15 @@ print("ok")
 FULL_SCRIPT = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises
-from minesolve import (Cell, Constraint, Group, SolverConfig, difficulty_spec,
-                       play_game, sample_group)
+from minesolve import (Cell, Constraint, ConstraintSystem, SolverConfig,
+                       difficulty_spec, partition, play_game, sample_group)
 
 record = play_game(difficulty_spec("simple"), config=SolverConfig(mode="full"), seed=3)
 depths = [m.pipeline_depth for m in record.moves if m.kind == "guess"]
 assert depths and set(depths) == {"exact"}, depths
-pair = (Cell(0, 0), Cell(0, 1))
-sample_group(Group(constraints=(Constraint(frozenset(pair), 1),), vars=pair),
-             max_samples=64, rng=0)
+pair = frozenset({Cell(0, 0), Cell(0, 1)})
+plan, = partition(ConstraintSystem(frozenset({Constraint(pair, 1)}), {}))
+sample_group(plan, max_samples=64, rng=0)
 assert sys.modules["numpy"] is None, "the numpy block was lifted"
 print("ok")
 """
@@ -57,9 +57,9 @@ print("ok")
 
 HARNESS_SCRIPT = """
 import sys
-from minesolve import (SolverConfig, exact_board_probabilities, parse_board,
-                       run_batch, wilson_interval)
+from minesolve import SolverConfig, parse_board, run_batch, wilson_interval
 from minesolve.harness import paired_delta
+from minesolve.oracle import exact_board_probabilities
 
 report = run_batch("simple", games=4, config=SolverConfig(mode="exact"))
 wins = [g.won for g in report.per_game]
@@ -115,8 +115,7 @@ def test_no_module_imports_numpy():
 
 def test_lazy_names_are_exported():
     for name in ("run_batch", "run_ablation", "BatchReport", "AblationReport",
-                 "wilson_interval", "exact_board_probabilities",
-                 "exact_view_probabilities"):
+                 "wilson_interval", "exact_view_probabilities"):
         assert name in minesolve.__all__
         assert name in dir(minesolve)
         assert getattr(minesolve, name) is not None

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minesolve import exact, policy
-from minesolve.combine import BoardContext, combine
+from minesolve.combine import combine
 from minesolve.constraints import (
     deductions,
     extract_constraints,
@@ -21,8 +21,7 @@ from minesolve.engine import (
     render_board,
     reveal,
 )
-from minesolve.exact import enumerate_group
-from minesolve.grouping import Group, partition
+from minesolve.exact import enumerate_group, partition
 from minesolve.oracle import exact_board_probabilities
 from minesolve.policy import (
     MoveKind,
@@ -39,6 +38,7 @@ from helpers import (
     ONE_TWO_ONE_TEXT,
     cells,
     con,
+    group_of,
     pipeline_probability_map,
     random_position,
 )
@@ -73,11 +73,9 @@ def test_fresh_board_returns_first_move():
 
 def test_guess_takes_cheaper_sea_over_frontier():
     # frontier pair at 0.5 vs sea at E[M - k]/|U| = (3-1)/5 = 0.4
-    tally = enumerate_group(
-        Group(constraints=(con([A, B], 1),), vars=(A, B))
-    )
+    tally = enumerate_group(group_of(con([A, B], 1)))
     sea = cells(*((4, i) for i in range(5)))
-    pmap, sea_prob = combine([tally], BoardContext(3, len(sea)))
+    pmap, sea_prob = combine([tally], 3, len(sea))
     assert pmap[A] == pytest.approx(0.5)
     assert sea_prob == pytest.approx(0.4)
     cell, prob = argmin_cell({**pmap, **dict.fromkeys(sea, sea_prob)})

@@ -6,19 +6,14 @@ import time
 import pytest
 
 from minesolve.engine import Cell
-from minesolve.exact import box_plan, enumerate_group
-from minesolve.grouping import Group
+from minesolve.exact import BoxPlan, enumerate_group
 from minesolve.sampling import sample_group
 
-from helpers import A, B, cells, con, marginals, random_connected_group, tally_dict
-
-
-def simple_group(*constraints, variables):
-    return Group(constraints=tuple(constraints), vars=tuple(variables))
+from helpers import A, B, cells, con, group_of, marginals, random_connected_group, tally_dict
 
 
 def test_pair_marginal_converges_to_exact():
-    group = simple_group(con([A, B], 1), variables=(A, B))
+    group = group_of(con([A, B], 1))
     exact = marginals(enumerate_group(group))
     assert exact == {A: 0.5, B: 0.5}
 
@@ -28,7 +23,7 @@ def test_pair_marginal_converges_to_exact():
 
 
 def test_forced_variable_is_exact():
-    group = simple_group(con([A], 1), variables=(A,))
+    group = group_of(con([A], 1))
     tally = sample_group(group, max_samples=4096, rng=5)
     assert tally_dict(tally)[(A, 1)] / tally.counts[1] == 1.0
 
@@ -43,7 +38,7 @@ def test_sampled_marginals_close_to_exact():
             assert abs(sampled[cell] - exact[cell]) < 0.02
 
 
-def path_moments(group):
+def path_moments(plan):
     """Walk every path of the group's box plan, as `sample_group` draws
     them: at each box, j from the range [lo, hi] its checks allow. A draw
     takes a path with probability 1 / prod(width) and scores weight
@@ -51,9 +46,8 @@ def path_moments(group):
     prod(C(size, j)) and E[W^2] = sum of prod(C(size, j))^2 * prod(width).
     Box b's mine total scores W * j_b. Returns, per k, (first, second)
     moment pairs for N(k) and for each box's mine total."""
-    plan = box_plan(group)
     steps = plan.steps()
-    n = len(group.vars) + 1
+    n = len(plan.vars) + 1
     counts = [[0, 0] for _ in range(n)]
     box_mines = [[[0, 0] for _ in range(n)] for _ in steps]
 
@@ -186,7 +180,7 @@ def test_all_forced_boxes_are_sampled_exactly():
     # so every draw takes the one path, weighted by all C(30, 3) placements
     # of the box's 3 mines
     wide = [Cell(0, i) for i in range(30)]
-    group = simple_group(con(wide, 3), variables=wide)
+    group = group_of(con(wide, 3))
     draws = 100
     tally = sample_group(group, max_samples=draws, rng=11)
     assert tally.counts == [0, 0, 0, draws * math.comb(30, 3)]
@@ -195,14 +189,40 @@ def test_all_forced_boxes_are_sampled_exactly():
 
 def test_importance_never_starves_on_feasible_group():
     tight = cells(*((0, i) for i in range(20)))
-    group = simple_group(con(tight, 20), variables=tight)
+    group = group_of(con(tight, 20))
     tally = sample_group(group, max_samples=64, rng=7)
     assert tally.counts == [0] * 20 + [64]
 
 
 def test_bad_arguments_rejected():
-    group = simple_group(con([A, B], 1), variables=(A, B))
+    group = group_of(con([A, B], 1))
     with pytest.raises(ValueError):
         sample_group(group, max_samples=0)
     with pytest.raises(ValueError):
-        sample_group(simple_group(variables=()))
+        sample_group(BoxPlan((), [], (), ()))
+
+
+def test_sampled_tally_is_pinned():
+    # a fixed group through partition: any change to its plan (box order,
+    # keys or constraint order) changes the draws and breaks this pin
+    group = group_of(
+        con(cells((0, 0), (0, 1), (1, 0), (1, 1)), 2),
+        con(cells((1, 0), (1, 1), (2, 0), (2, 1)), 1),
+        con(cells((0, 1), (0, 2), (1, 2)), 1),
+        con(cells((2, 1), (2, 2), (3, 0), (3, 1), (3, 2)), 2),
+    )
+    tally = sample_group(group, max_samples=4096, rng=2024)
+    assert tally.boxes == tuple(tuple(cells(*box)) for box in (
+        ((0, 1),), ((1, 0), (1, 1)), ((2, 1),), ((0, 0),), ((0, 2), (1, 2)),
+        ((2, 0),), ((2, 2), (3, 0), (3, 1), (3, 2))))
+    assert tally.samples_used == 4096
+    assert tally.counts == [0, 0, 0, 0, 64320, 123744]
+    assert tally.box_mines == [
+        [0, 0, 0, 0, 64320, 25680],
+        [0, 0, 0, 0, 47232, 98064],
+        [0, 0, 0, 0, 17088, 0],
+        [0, 0, 0, 0, 17088, 123744],
+        [0, 0, 0, 0, 0, 98064],
+        [0, 0, 0, 0, 0, 25680],
+        [0, 0, 0, 0, 111552, 247488],
+    ]

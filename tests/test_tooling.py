@@ -1,9 +1,15 @@
-"""The test configuration reports every test, even after a failing
-property test."""
+"""Project rules checked on the sources: the test configuration reports
+every test, even after a failing property test, and every root export
+has a user."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import minesolve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +43,53 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout.splitlines()[-1], done.stdout[-2000:]
     assert done.returncode == 1
+
+
+class _References(ast.NodeVisitor):
+    """Every name a module reads, as a bare name or an attribute, outside
+    the definition of that same name."""
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self._inside: list[str] = []
+
+    def _definition(self, node) -> None:
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id not in self._inside:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr not in self._inside:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def readme_library_code() -> list[str]:
+    """The Python blocks of README's Library section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_every_root_export_is_used():
+    # a root export must be read by the package itself (outside
+    # __init__.py), by the benchmark, or by README's Library examples;
+    # names only the tests use are imported from their modules instead
+    refs = _References()
+    sources = [p for p in (ROOT / "src" / "minesolve").glob("*.py")
+               if p.name != "__init__.py"]
+    sources += (ROOT / "bench").glob("*.py")
+    for path in sources:
+        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+    for block in readme_library_code():
+        refs.visit(ast.parse(block))
+    unused = [name for name in minesolve.__all__
+              if not isinstance(getattr(minesolve, name), ModuleType)
+              and name not in refs.names]
+    assert unused == []
