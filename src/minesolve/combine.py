@@ -13,8 +13,8 @@ mine-count vector carries weight
 which is zero whenever the leftover is negative or exceeds the sea - that
 zeroing is what rules out impossible per-group mine counts. Cell marginals
 under these weights come from prefix and suffix convolutions of the
-groups' mine-count lists rather than from enumerating vectors; the two
-agree exactly, and the explicit enumerator is kept as a cross-check. The
+groups' mine-count lists rather than from enumerating vectors; the tests
+check that the two agree against an explicit enumerator. The
 cells of a box share one posterior, the box's weighted mine total over
 its size, and so do the sea cells: the sea is one size in and one
 probability out. Its binomials, over the window of mine counts the groups
@@ -28,8 +28,6 @@ correctly rounded, and equal posteriors come out as equal floats.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .engine import Cell
@@ -138,43 +136,3 @@ def combine(tallies: Sequence[GroupTally], remaining_mines: int,
         return probs, 0.0
     sea_mines = [(lo + i) * x for i, x in enumerate(sea)]
     return probs, _coef(sea_mines, suffix[0], hi) / (w_total * u)
-
-
-def combine_by_enumeration(tallies: Sequence[GroupTally], remaining_mines: int,
-                           sea_size: int) -> tuple[dict[Cell, float], float]:
-    """Reference implementation: enumerate every mine-count vector.
-
-    Exponential in the number of groups; retained as the oracle the
-    convolution path is checked against. It runs in integer and rational
-    arithmetic.
-    """
-    _check_inputs(tallies, remaining_mines, sea_size)
-    m, u = remaining_mines, sea_size
-
-    w_total = 0
-    numer = [[0] * len(t.boxes) for t in tallies]  # per group, per box
-    sea_numer = 0
-    for vector in product(*(range(len(t.counts)) for t in tallies)):
-        leftover = m - sum(vector)
-        if leftover < 0 or leftover > u:
-            continue
-        weight = math.comb(u, leftover)
-        for tally, k in zip(tallies, vector):
-            weight *= tally.counts[k]
-        if weight == 0:
-            continue
-        w_total += weight
-        sea_numer += weight * leftover
-        for tally, k, box_numer in zip(tallies, vector, numer):
-            partial = weight // tally.counts[k]
-            for b, row in enumerate(tally.box_mines):
-                box_numer[b] += partial * row[k]
-    if w_total == 0:
-        raise CombineInfeasibleError(
-            f"no assignment places {m} mines over these groups and {u} sea cells"
-        )
-
-    probs = {cell: float(Fraction(v, w_total * len(box)))
-             for tally, box_numer in zip(tallies, numer)
-             for box, v in zip(tally.boxes, box_numer) for cell in box}
-    return probs, float(Fraction(sea_numer, w_total * u)) if u else 0.0

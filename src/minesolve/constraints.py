@@ -1,8 +1,8 @@
 """Linear 0/1 constraints over covered cells and their reduction to a fixpoint.
 
-Every revealed clue becomes an equation: the covered neighbors sum to the
-clue value minus adjacent known mines. Reduction rewrites the equation set
-with two rules until nothing changes:
+Every revealed clue becomes an equation: its covered neighbors sum to the
+clue value. The equations are read off the visible board alone. Reduction
+rewrites the equation set with two rules until nothing changes:
 
   * subset subtraction - when one equation's variables nest strictly inside
     another's, the larger is replaced by the difference;
@@ -16,7 +16,6 @@ variables, so downstream counting sees an equivalent, smaller system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
 from .engine import Cell, GameState
 
@@ -55,13 +54,12 @@ class Constraint:
 class ConstraintSystem:
     """Deduplicated constraints plus the assignments already substituted out.
 
-    `known` holds every assignment visible to the system; `derived` is the
-    subset discovered by reduction since extraction. `steps` counts rewrite
-    events and is excluded from equality so reduce stays idempotent.
+    `derived` holds every cell that reduction has forced safe or mine since
+    extraction; it is empty on a freshly extracted system. `steps` counts
+    rewrite events and is excluded from equality so reduce stays idempotent.
     """
 
     constraints: frozenset[Constraint]
-    known: dict[Cell, int]
     derived: dict[Cell, int] = field(default_factory=dict)
     steps: int = field(default=0, compare=False)
 
@@ -72,36 +70,21 @@ class ConstraintSystem:
         return out
 
 
-def extract_constraints(state: GameState,
-                        known: Optional[Mapping[Cell, int]] = None) -> ConstraintSystem:
-    """Read one equation off every revealed clue that still borders covered,
-    unassigned cells. Known mines are subtracted from the clue value; known
-    safes are dropped from the variable list."""
+def extract_constraints(state: GameState) -> ConstraintSystem:
+    """Read one equation off every revealed clue that still borders covered
+    cells: the clue's covered neighbors sum to its value."""
     spec = state.spec
     table = state.neighbor_table
-    known = dict(known) if known else {}
-    known_idx = {spec.index(c): v for c, v in known.items()}
     revealed = state.revealed
     constraints: set[Constraint] = set()
     for i, value in state.revealed_clues():
         cells = []
-        rhs = value
         for j in table[i]:
-            if revealed[j]:
-                continue
-            v = known_idx.get(j)
-            if v is None:
+            if not revealed[j]:
                 cells.append(spec.cell(j))
-            elif v == MINE:
-                rhs -= 1
-        if not cells:
-            if rhs != 0:
-                raise ContradictionError(
-                    f"clue at {spec.cell(i)} cannot be met by its known neighbors"
-                )
-            continue
-        constraints.add(Constraint(frozenset(cells), rhs))
-    return ConstraintSystem(frozenset(constraints), known)
+        if cells:
+            constraints.add(Constraint(frozenset(cells), value))
+    return ConstraintSystem(frozenset(constraints))
 
 
 def _size_order(vars_: frozenset[Cell]) -> tuple:
@@ -112,19 +95,17 @@ def _size_order(vars_: frozenset[Cell]) -> tuple:
 def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
     """Rewrite to a fixpoint of subtraction, unit propagation, substitution
     and duplicate merging. Raises ContradictionError on conflict."""
-    known = dict(system.known)
     derived = dict(system.derived)
     # vars -> rhs; the dict both deduplicates and detects conflicts
     active: dict[frozenset[Cell], int] = {}
     steps = 0
 
     def assign(cell: Cell, value: int) -> None:
-        old = known.get(cell)
+        old = derived.get(cell)
         if old is not None:
             if old != value:
                 raise ContradictionError(f"{cell} forced both safe and mine")
             return
-        known[cell] = value
         derived[cell] = value
         pending_cells.append(cell)
 
@@ -159,7 +140,7 @@ def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
         # substitute any assignments made since the last pass
         while pending_cells:
             cell = pending_cells.pop()
-            value = known[cell]
+            value = derived[cell]
             for vars_ in [v for v in active if cell in v]:
                 insert(vars_ - {cell}, active.pop(vars_) - value)
             changed = True
@@ -204,7 +185,7 @@ def reduce_system(system: ConstraintSystem) -> ConstraintSystem:
                 changed = True
 
     constraints = frozenset(Constraint(v, r) for v, r in active.items())
-    return ConstraintSystem(constraints, known, derived, steps)
+    return ConstraintSystem(constraints, derived, steps)
 
 
 def deductions(system: ConstraintSystem) -> tuple[set[Cell], set[Cell]]:

@@ -98,15 +98,6 @@ def cell_table(width: int, height: int) -> tuple[Cell, ...]:
     return tuple(Cell(r, c) for r in range(height) for c in range(width))
 
 
-def neighbors(spec: BoardSpec, cell: Cell) -> set[Cell]:
-    """The <=8 in-bounds orthogonal and diagonal neighbors of a cell."""
-    if not spec.in_bounds(cell):
-        raise InvalidMoveError(f"cell {cell} out of bounds")
-    w = spec.width
-    table = neighbor_table(spec.width, spec.height)
-    return {Cell(*divmod(i, w)) for i in table[cell[0] * w + cell[1]]}
-
-
 class RevealOutcome(NamedTuple):
     """Result of one reveal: a mine hit, or a value plus the cells opened.
     An immutable record: every field is read-only."""
@@ -164,12 +155,6 @@ class GameState:
         clone.moves = list(self.moves)
         return clone
 
-    def is_revealed(self, cell: Cell) -> bool:
-        return self.revealed[self.spec.index(cell)]
-
-    def is_mine(self, cell: Cell) -> bool:
-        return self.mines[self.spec.index(cell)]
-
     def revealed_clues(self) -> Iterator[tuple[int, int]]:
         """(flat index, value) for every revealed cell. Read from the
         visible board alone: in a game still in progress no revealed cell
@@ -178,10 +163,6 @@ class GameState:
         for i in range(self.spec.cells):
             if revealed[i]:
                 yield i, values[i]
-
-    def covered_cells(self) -> list[Cell]:
-        return [cell for cell, seen in zip(self.cell_table, self.revealed)
-                if not seen]
 
     def revealed_count(self) -> int:
         return self._revealed_count

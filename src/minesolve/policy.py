@@ -224,7 +224,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
     remaining = spec.mine_count - len(found_mines)
     # the sea: covered cells that are neither assigned nor in any group
     placed = reduced.variables()
-    placed.update(reduced.known)
+    placed.update(reduced.derived)
     sea_size = spec.cells - state.revealed_count() - len(placed)
 
     fused: Optional[tuple[dict[Cell, float], float]] = None

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import product
 
-from minesolve.combine import combine
+from minesolve.combine import CombineInfeasibleError, _check_inputs, combine
 from minesolve.constraints import (
     Constraint,
     ConstraintSystem,
@@ -29,7 +31,7 @@ def con(vars_, rhs: int) -> Constraint:
 
 
 def system(*constraints: Constraint) -> ConstraintSystem:
-    return ConstraintSystem(frozenset(constraints), {})
+    return ConstraintSystem(frozenset(constraints))
 
 
 def group_of(*constraints: Constraint) -> BoxPlan:
@@ -79,7 +81,7 @@ def random_consistent_system(rng: random.Random, n_vars: int,
         size = rng.randint(1, min(5, n_vars))
         chosen = rng.sample(variables, size)
         constraints.add(con(chosen, sum(hidden[v] for v in chosen)))
-    return ConstraintSystem(frozenset(constraints), {})
+    return ConstraintSystem(frozenset(constraints))
 
 
 def random_connected_group(rng: random.Random, n_vars: int,
@@ -98,7 +100,7 @@ def random_connected_group(rng: random.Random, n_vars: int,
             chosen = [variables[(start + i) % n_vars] for i in range(size)]
             constraints.add(con(chosen, sum(hidden[v] for v in chosen)))
             uncovered -= set(chosen)
-        groups = partition(ConstraintSystem(frozenset(constraints), {}))
+        groups = partition(ConstraintSystem(frozenset(constraints)))
         if len(groups) == 1 and not uncovered:
             return groups[0]
     raise AssertionError("could not generate a connected group")
@@ -116,7 +118,7 @@ def random_position(rng: random.Random, width: int = 5, height: int = 5,
     for cell in safe[:rng.randint(1, max_reveals)]:
         if state.status is not GameStatus.IN_PROGRESS:
             break
-        if not state.is_revealed(cell):
+        if not state.revealed[spec.index(cell)]:
             reveal(state, cell)
     if state.status is not GameStatus.IN_PROGRESS:
         return None
@@ -125,10 +127,10 @@ def random_position(rng: random.Random, width: int = 5, height: int = 5,
 
 class PipelineResult:
     def __init__(self, probs: dict[Cell, float], unassigned_mass: float,
-                 known: dict[Cell, int], remaining_mines: int) -> None:
+                 derived: dict[Cell, int], remaining_mines: int) -> None:
         self.probs = probs
         self.unassigned_mass = unassigned_mass
-        self.known = known
+        self.derived = derived
         self.remaining_mines = remaining_mines
 
 
@@ -136,18 +138,58 @@ def pipeline_probability_map(state: GameState) -> PipelineResult:
     """Full-board probabilities via reduce -> partition -> enumerate ->
     combine, with reduction-derived cells reported as 0/1."""
     reduced = reduce_system(extract_constraints(state))
-    found_mines = sum(1 for v in reduced.known.values() if v == 1)
+    found_mines = sum(1 for v in reduced.derived.values() if v == 1)
     remaining = state.spec.mine_count - found_mines
-    covered = [c for c in state.covered_cells() if c not in reduced.known]
+    covered = [c for c, seen in zip(state.cell_table, state.revealed)
+               if not seen and c not in reduced.derived]
     group_vars = reduced.variables()
     sea = [c for c in covered if c not in group_vars]
     tallies = [enumerate_group(g) for g in partition(reduced)]
     pmap, sea_prob = combine(tallies, remaining, len(sea))
     pmap.update(dict.fromkeys(sea, sea_prob))
     probs = dict(pmap)
-    for cell, value in reduced.known.items():
+    for cell, value in reduced.derived.items():
         probs[cell] = float(value)
-    return PipelineResult(probs, sum(pmap.values()), dict(reduced.known), remaining)
+    return PipelineResult(probs, sum(pmap.values()), dict(reduced.derived), remaining)
+
+
+def combine_by_enumeration(tallies, remaining_mines: int,
+                           sea_size: int) -> tuple[dict[Cell, float], float]:
+    """Reference for `combine`: enumerate every mine-count vector.
+
+    Exponential in the number of groups; the oracle the convolution path
+    is checked against. It runs in integer and rational arithmetic.
+    """
+    _check_inputs(tallies, remaining_mines, sea_size)
+    m, u = remaining_mines, sea_size
+
+    w_total = 0
+    numer = [[0] * len(t.boxes) for t in tallies]  # per group, per box
+    sea_numer = 0
+    for vector in product(*(range(len(t.counts)) for t in tallies)):
+        leftover = m - sum(vector)
+        if leftover < 0 or leftover > u:
+            continue
+        weight = math.comb(u, leftover)
+        for tally, k in zip(tallies, vector):
+            weight *= tally.counts[k]
+        if weight == 0:
+            continue
+        w_total += weight
+        sea_numer += weight * leftover
+        for tally, k, box_numer in zip(tallies, vector, numer):
+            partial = weight // tally.counts[k]
+            for b, row in enumerate(tally.box_mines):
+                box_numer[b] += partial * row[k]
+    if w_total == 0:
+        raise CombineInfeasibleError(
+            f"no assignment places {m} mines over these groups and {u} sea cells"
+        )
+
+    probs = {cell: float(Fraction(v, w_total * len(box)))
+             for tally, box_numer in zip(tallies, numer)
+             for box, v in zip(tally.boxes, box_numer) for cell in box}
+    return probs, float(Fraction(sea_numer, w_total * u)) if u else 0.0
 
 
 def raising_on_seed(bad_seed: int):

@@ -4,12 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from minesolve.combine import (
-    CombineInfeasibleError,
-    _binomial_window,
-    combine,
-    combine_by_enumeration,
-)
+from minesolve.combine import CombineInfeasibleError, _binomial_window, combine
 from minesolve.engine import Cell
 from minesolve.exact import enumerate_group
 from minesolve.sampling import sample_group
@@ -19,6 +14,7 @@ from helpers import (
     B,
     C,
     cells,
+    combine_by_enumeration,
     con,
     group_of,
     pipeline_probability_map,
@@ -252,7 +248,7 @@ def test_mass_conservation_on_game_positions():
         assert result.unassigned_mass == pytest.approx(
             result.remaining_mines, abs=1e-9
         )
-        derived_mines = sum(1 for v in result.known.values() if v == 1)
+        derived_mines = sum(1 for v in result.derived.values() if v == 1)
         assert result.unassigned_mass + derived_mines == pytest.approx(
             state.spec.mine_count, abs=1e-9
         )

@@ -37,24 +37,32 @@ def test_extract_clue_with_three_covered_neighbors():
     assert con([A, B, C], 2) in sys_.constraints
 
 
-def test_extract_substitutes_known_mines():
-    # clue 1 at (1,0) borders {A, B}; with A known mine, only B = 0 remains
-    state = parse_board("2 2 1\n*.\n..\n\n##\nRR\n")
-    sys_ = extract_constraints(state, known={A: MINE})
-    assert con([B], 0) in sys_.constraints
-    assert all(A not in c.vars for c in sys_.constraints)
-
-
 def test_extract_after_cascade_has_no_zero_clues():
     state = new_board(BoardSpec(3, 3, 0, seed=0))
     reveal(state, Cell(1, 1))
     assert extract_constraints(state).constraints == frozenset()
 
 
-def test_extract_contradiction_on_inconsistent_input():
-    state = parse_board("2 2 1\n*.\n..\n\n##\nRR\n")
-    with pytest.raises(ContradictionError):
-        extract_constraints(state, known={A: MINE, B: MINE})
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_extracted_equations_are_the_clues_of_the_board(rng):
+    # every equation is one revealed clue's covered neighbours summing to
+    # the mines among them, and every clue that borders a covered cell
+    # gives one
+    state = random_position(rng)
+    if state is None:
+        return
+    spec, table = state.spec, state.neighbor_table
+    clues = {}
+    for i, _ in state.revealed_clues():
+        covered = frozenset(spec.cell(j) for j in table[i] if not state.revealed[j])
+        if covered:
+            clues[covered] = sum(state.mines[spec.index(c)] for c in covered)
+    extracted = extract_constraints(state).constraints
+    for c in extracted:
+        assert c.vars
+        assert clues.get(c.vars) == c.rhs
+    assert {c.vars for c in extracted} == set(clues)
 
 
 def test_reduce_one_two_one_resolves_everything():
@@ -64,17 +72,17 @@ def test_reduce_one_two_one_resolves_everything():
 
     reduced = reduce_system(system(*constraints))
     assert reduced.constraints == frozenset()
-    assert reduced.known == {A: MINE, B: SAFE, C: MINE}
+    assert reduced.derived == {A: MINE, B: SAFE, C: MINE}
 
 
 def test_reduce_zero_rhs_forces_safe():
     reduced = reduce_system(system(con([A, B], 0)))
-    assert reduced.known == {A: SAFE, B: SAFE}
+    assert reduced.derived == {A: SAFE, B: SAFE}
 
 
 def test_reduce_subset_subtraction_example():
     reduced = reduce_system(system(con([A, B, C], 2), con([B, C], 1)))
-    assert reduced.known == {A: MINE}
+    assert reduced.derived == {A: MINE}
     assert reduced.constraints == frozenset({con([B, C], 1)})
 
 
@@ -92,10 +100,10 @@ def test_reduce_preserves_solution_set():
         before = brute_force_solutions(sys_.constraints, sys_.variables())
 
         reduced = reduce_system(sys_)
-        remaining_vars = sorted(sys_.variables() - set(reduced.known))
+        remaining_vars = sorted(sys_.variables() - set(reduced.derived))
         extended = []
         for assign in brute_force_solutions(reduced.constraints, remaining_vars):
-            full = dict(reduced.known)
+            full = dict(reduced.derived)
             full.update(assign)
             extended.append({v: full[v] for v in sorted(sys_.variables())})
         key = lambda a: tuple(sorted(a.items()))
@@ -119,7 +127,7 @@ def random_systems(draw):
         else:
             rhs = draw(st.integers(0, len(members)))
         constraints.add(con(members, rhs))
-    return ConstraintSystem(frozenset(constraints), {})
+    return ConstraintSystem(frozenset(constraints))
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,7 +144,7 @@ def test_reduce_matches_brute_force_property(sys_):
         return
 
     def satisfies(assign):
-        return (all(assign[cell] == v for cell, v in reduced.known.items())
+        return (all(assign[cell] == v for cell, v in reduced.derived.items())
                 and all(sum(assign[v] for v in c.vars) == c.rhs
                         for c in reduced.constraints))
 
@@ -167,9 +175,9 @@ def test_reduce_deductions_sound_on_game_positions():
         reduced = reduce_system(extract_constraints(state))
         safe, mines = deductions(reduced)
         for cell in safe:
-            assert not state.is_mine(cell)
+            assert not state.mines[state.spec.index(cell)]
         for cell in mines:
-            assert state.is_mine(cell)
+            assert state.mines[state.spec.index(cell)]
         checked += len(safe) + len(mines)
     assert checked > 500  # the sweep actually exercised deductions
 

@@ -13,7 +13,6 @@ from minesolve.engine import (
     InvalidMoveError,
     difficulty_spec,
     neighbor_table,
-    neighbors,
     new_board,
     parse_board,
     render_board,
@@ -41,7 +40,7 @@ def test_first_click_safe_never_mines_first_cell():
     for seed in range(100):
         spec = BoardSpec(8, 8, 10, first_click_safe=True, seed=seed)
         state = new_board(spec, first_click=Cell(0, 0))
-        assert not state.is_mine(Cell(0, 0))
+        assert not state.mines[0]
 
 
 def test_first_click_safe_requires_first_click():
@@ -50,15 +49,10 @@ def test_first_click_safe_requires_first_click():
 
 
 def test_neighbors_interior_corner_edge():
-    spec = BoardSpec(8, 8, 0)
-    assert len(neighbors(spec, Cell(4, 4))) == 8
-    assert neighbors(spec, Cell(0, 0)) == {Cell(0, 1), Cell(1, 0), Cell(1, 1)}
-    assert len(neighbors(spec, Cell(0, 3))) == 5
-
-
-def test_neighbors_out_of_bounds_rejected():
-    with pytest.raises(InvalidMoveError):
-        neighbors(BoardSpec(3, 3, 0), Cell(3, 0))
+    table = neighbor_table(8, 8)
+    assert len(table[4 * 8 + 4]) == 8
+    assert sorted(table[0]) == [1, 8, 9]
+    assert len(table[3]) == 5
 
 
 def _board_with_center_mine() -> str:
@@ -155,7 +149,7 @@ def test_render_parse_round_trip():
 def test_parse_small_board():
     state = parse_board("2 2 1\n*.\n..\n\n##\n##\n")
     assert sum(state.mines) == 1
-    assert state.is_mine(Cell(0, 0))
+    assert state.mines[0]
 
 
 def test_parse_rejects_ragged_rows():
@@ -221,11 +215,10 @@ def test_cascade_is_closed_over_zero_cells():
 def test_status_never_leaves_terminal_states():
     state = new_board(BoardSpec(4, 4, 3, seed=2))
     while state.status is GameStatus.IN_PROGRESS:
-        covered = state.covered_cells()
-        reveal(state, covered[0])
+        reveal(state, state.spec.cell(state.revealed.index(False)))
     final = state.status
     with pytest.raises(InvalidMoveError):
-        reveal(state, state.covered_cells()[0])
+        reveal(state, state.spec.cell(state.revealed.index(False)))
     assert state.status is final
 
 

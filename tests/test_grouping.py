@@ -145,7 +145,7 @@ def random_systems(draw):
         members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 8)))
         constraints.add(con([variables[i] for i in members],
                             draw(st.integers(0, len(members)))))
-    return ConstraintSystem(frozenset(constraints), {})
+    return ConstraintSystem(frozenset(constraints))
 
 
 @settings(max_examples=300, deadline=None)

@@ -31,7 +31,7 @@ record = play_game(difficulty_spec("simple"), config=SolverConfig(mode="full"), 
 depths = [m.pipeline_depth for m in record.moves if m.kind == "guess"]
 assert depths and set(depths) == {"exact"}, depths
 pair = frozenset({Cell(0, 0), Cell(0, 1)})
-plan, = partition(ConstraintSystem(frozenset({Constraint(pair, 1)}), {}))
+plan, = partition(ConstraintSystem(frozenset({Constraint(pair, 1)})))
 sample_group(plan, max_samples=64, rng=0)
 assert sys.modules["numpy"] is None, "the numpy block was lifted"
 print("ok")

@@ -117,7 +117,7 @@ RRR#####
 def test_exact_ties_go_to_lowest_row_major_cell():
     state = parse_board(TIED_TEXT)
     result = pipeline_probability_map(state)
-    unassigned = {c: p for c, p in result.probs.items() if c not in result.known}
+    unassigned = {c: p for c, p in result.probs.items() if c not in result.derived}
     best = min(unassigned.values())
     assert best == 5 / 38
     assert unassigned[Cell(2, 0)] == unassigned[Cell(0, 4)] == best
@@ -378,7 +378,7 @@ def state_with_queue(counter):
             safe = safe_set(state) if decision.kind is MoveKind.REVEAL_SAFE else set()
             reveal(state, decision.cell)
             if (solved and len(safe) >= 3 and state.status is GameStatus.IN_PROGRESS
-                    and sum(not state.is_revealed(c) for c in safe) >= 2):
+                    and sum(not state.revealed[state.spec.index(c)] for c in safe) >= 2):
                 counter.calls = 0
                 return state, safe
     raise AssertionError("no position with a queue of safe cells")
@@ -400,7 +400,7 @@ def test_queue_serves_safe_cells_without_solving(monkeypatch):
     counter = ExtractCounter(monkeypatch)
     state, safe = state_with_queue(counter)
     while True:
-        covered = sorted(c for c in safe if not state.is_revealed(c))
+        covered = sorted(c for c in safe if not state.revealed[state.spec.index(c)])
         if not covered or state.status is not GameStatus.IN_PROGRESS:
             break
         decision = next_move(state)
@@ -422,13 +422,13 @@ def test_queued_cell_opened_by_cascade_is_skipped(monkeypatch):
             safe = safe_set(state) if decision.kind is MoveKind.REVEAL_SAFE else set()
             outcome = reveal(state, decision.cell)
             cascaded = {c for c in safe if c in outcome.opened and c != decision.cell}
-            left = sorted(c for c in safe if not state.is_revealed(c))
+            left = sorted(c for c in safe if not state.revealed[state.spec.index(c)])
             if solved and cascaded and left and state.status is GameStatus.IN_PROGRESS:
                 before = counter.calls
                 follow = next_move(state)
                 assert counter.calls == before
                 assert follow.cell == left[0]
-                assert not state.is_revealed(follow.cell)
+                assert not state.revealed[state.spec.index(follow.cell)]
                 return
     raise AssertionError("no cascade over a queued cell in 300 games")
 
@@ -436,7 +436,7 @@ def test_queued_cell_opened_by_cascade_is_skipped(monkeypatch):
 def test_queue_belongs_to_one_state_object(monkeypatch):
     counter = ExtractCounter(monkeypatch)
     state, safe = state_with_queue(counter)
-    queued = sorted(c for c in safe if not state.is_revealed(c))
+    queued = sorted(c for c in safe if not state.revealed[state.spec.index(c)])
     others = [
         state.copy(),
         parse_board(render_board(state)),

@@ -1,6 +1,6 @@
 """Project rules checked on the sources: the test configuration reports
 every test, even after a failing property test, and every root export
-has a user."""
+and every public definition has a user."""
 
 import ast
 import re
@@ -12,6 +12,7 @@ from types import ModuleType
 import minesolve
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "minesolve"
 
 FAILING_PROPERTY_THEN_PASSING = """
 from hypothesis import given, settings
@@ -77,19 +78,52 @@ def readme_library_code() -> list[str]:
     return re.findall(r"```python\n(.*?)```", section, re.S)
 
 
-def test_every_root_export_is_used():
-    # a root export must be read by the package itself (outside
-    # __init__.py), by the benchmark, or by README's Library examples;
-    # names only the tests use are imported from their modules instead
+def user_references() -> set[str]:
+    """Every name read by the package itself (outside __init__.py), by
+    the benchmark, or by README's Library examples."""
     refs = _References()
-    sources = [p for p in (ROOT / "src" / "minesolve").glob("*.py")
-               if p.name != "__init__.py"]
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += (ROOT / "bench").glob("*.py")
     for path in sources:
         refs.visit(ast.parse(path.read_text(), filename=str(path)))
     for block in readme_library_code():
         refs.visit(ast.parse(block))
+    return refs.names
+
+
+def test_every_root_export_is_used():
+    # names only the tests use are imported from their modules instead
+    names = user_references()
     unused = [name for name in minesolve.__all__
               if not isinstance(getattr(minesolve, name), ModuleType)
-              and name not in refs.names]
+              and name not in names]
     assert unused == []
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes, and the public methods of
+    those classes, as dotted names."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, defs) and not item.name.startswith("_")]
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    # code that only the tests call is a hook for a test: the tests read
+    # the data it would wrap instead. oracle.py is exempt, as it is the
+    # tests' brute-force reference for the solver's posteriors
+    names = user_references()
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "oracle.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uncalled += [f"{path.stem}.{name}" for name in public_definitions(tree)
+                     if name.rsplit(".", 1)[-1] not in names]
+    assert uncalled == []
