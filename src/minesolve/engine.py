@@ -193,7 +193,8 @@ def new_board(spec: BoardSpec, first_click: Optional[Cell] = None) -> GameState:
 
 
 def reveal(state: GameState, cell: Cell) -> RevealOutcome:
-    """Open a covered cell; zero-valued cells cascade to their neighbors."""
+    """Open a covered cell. A numbered cell is opened alone, directly; only
+    a zero-valued cell starts the cascade to its neighbors."""
     if state.status is not _IN_PROGRESS:
         raise InvalidMoveError("game is over")
     spec = state.spec
@@ -213,11 +214,19 @@ def reveal(state: GameState, cell: Cell) -> RevealOutcome:
         state.moves.append((cell, "boom"))
         return RevealOutcome(True, None, frozenset((cell,)))
 
-    cells, table, values = state.cell_table, state.neighbor_table, state.values
+    cells, values = state.cell_table, state.values
     value = values[start]
     revealed[start] = True
+    if value:
+        state._revealed_count += 1
+        if state._revealed_count == state._safe_total:
+            state.status = GameStatus.WON
+        state.moves.append((cell, value))
+        return RevealOutcome(False, value, frozenset((cells[start],)))
+
+    table = state.neighbor_table
     flipped = [cells[start]]
-    stack = [] if value else [start]
+    stack = [start]
     while stack:
         i = stack.pop()
         for j in table[i]:

@@ -175,15 +175,15 @@ def partition(system: ConstraintSystem) -> list[BoxPlan]:
 def enumerate_group(plan: BoxPlan, deadline: float | None = None) -> GroupTally:
     """Count every satisfying assignment of the group exactly.
 
-    The plan's boxes are assigned depth-first, in plan order, each taking j mines at once with weight C(size, j); a branch
-    survives only while each constraint's running sum can still reach its
-    rhs. nodes_visited counts terminal states (dead ends plus box-level
-    leaves, each standing for one or more solutions), which never exceeds
-    2^n. `deadline` is an optional time.monotonic() cutoff, checked on
-    entry and every CHECK_EVERY_NODES branch points; passing it, or
-    MAX_NODES branch points, raises GroupTooLargeError so the caller can
-    fall back. A group with no satisfying assignment raises
-    ContradictionError.
+    The plan's boxes are assigned depth-first, in plan order, each taking
+    j mines at once with weight C(size, j); a branch survives only while
+    each constraint's running sum can still reach its rhs. nodes_visited
+    counts terminal states (dead ends plus box-level leaves, each standing
+    for one or more solutions), which never exceeds 2^n. `deadline` is an
+    optional time.monotonic() cutoff, checked on entry and every
+    CHECK_EVERY_NODES branch points; passing it, or MAX_NODES branch
+    points, raises GroupTooLargeError so the caller can fall back. A group
+    with no satisfying assignment raises ContradictionError.
 
     The structure key is each box's constraint indices and size, in
     search order, plus every constraint's rhs. A structure found among

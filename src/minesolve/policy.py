@@ -3,15 +3,15 @@
 Each call works from the visible board alone: extract equations, reduce
 them, and reveal a forced-safe cell if one exists. A reduction usually
 proves several cells safe at once; the smallest is returned and the rest
-are queued against the game, so later calls on the same game reveal them
-without solving again. Only when logic is stuck does the probabilistic
-stage run: exact tallies for small groups and sampling for oversized
-ones with whatever time is left, all fused with the mine budget by
-`combine`. The move is the minimum-probability covered cell. If no
-probability map can be built in time, a cheap per-constraint estimate
-picks the guess instead. The modes truncate this pipeline: `exact` is
-`full` without the sampler, so a guess with an oversized group takes the
-estimate, and `logic` always takes it.
+are queued against the game with their ready decisions, so later calls
+on the same game return them without solving again. Only when logic is
+stuck does the probabilistic stage run: exact tallies for small groups
+and sampling for oversized ones with whatever time is left, all fused
+with the mine budget by `combine`. The move is the minimum-probability
+covered cell. If no probability map can be built in time, a cheap
+per-constraint estimate picks the guess instead. The modes truncate this
+pipeline: `exact` is `full` without the sampler, so a guess with an
+oversized group takes the estimate, and `logic` always takes it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ _BUDGET_RESERVE_S = 0.15
 
 @dataclass
 class _SafeQueue:
-    """Cells proven safe for one game that may still be covered; kept in
-    that game's `GameState.solver_memo`.
+    """Cells proven safe for one game that may still be covered, each with
+    the ready `MoveDecision` that reveals it; kept in that game's
+    `GameState.solver_memo`, so serving one builds nothing.
 
     Valid while the game's move log extends the log the cells were deduced
     from: a growing view never makes a proven-safe cell unsafe.
@@ -61,15 +62,19 @@ class _SafeQueue:
     moves_seen: int
     last_move: Optional[tuple]
     indices: list[int]  # flat indices, descending, so the smallest is last
+    decisions: list[MoveDecision]  # the move for each index, in step
 
 
-def _queue_safe(state: GameState, safe: set[Cell]) -> Cell:
-    """Queue every safe cell for the following calls; return the smallest."""
-    spec, moves = state.spec, state.moves
-    queue = _SafeQueue(len(moves), moves[-1] if moves else None,
-                       sorted((spec.index(c) for c in safe), reverse=True))
-    state.solver_memo = queue
-    return state.cell_table[queue.indices[-1]]
+def _queue_safe(state: GameState, safe: set[Cell]) -> MoveDecision:
+    """Queue every safe cell and its decision for the following calls;
+    return the smallest cell's decision."""
+    spec, moves, cells = state.spec, state.moves, state.cell_table
+    indices = sorted((spec.index(c) for c in safe), reverse=True)
+    decisions = [MoveDecision(_REVEAL_SAFE, cells[i], 0.0, "logic")
+                 for i in indices]
+    state.solver_memo = _SafeQueue(len(moves), moves[-1] if moves else None,
+                                   indices, decisions)
+    return decisions[-1]
 
 
 def _sampler_seed(revealed: list[bool], group: int) -> int:
@@ -186,11 +191,11 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
 
     After the budget and game-over checks, a cell still queued by an
     earlier solve of this game is returned before any other work: the
-    smallest one still covered, while the move log extends the log it was
-    deduced from. It stays queued until revealed, so asking twice without
-    a reveal gives the same answer. A used-up or diverged queue is
-    dropped."""
-    if budget_ms is not None:
+    ready decision of the smallest one still covered, while the move log
+    extends the log it was deduced from. It stays queued until revealed,
+    so asking twice without a reveal returns the same object. A used-up
+    or diverged queue is dropped."""
+    if budget_ms is not None and not budget_ms > 0:
         _checked_budget(budget_ms)
     if state.status is not _IN_PROGRESS:
         raise InvalidMoveError("game is over")
@@ -199,12 +204,12 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
         n, moves = queue.moves_seen, state.moves
         if len(moves) >= n and (n == 0 or moves[n - 1] is queue.last_move):
             revealed, indices = state.revealed, queue.indices
+            decisions = queue.decisions
             while indices:
                 if not revealed[indices[-1]]:
-                    return MoveDecision(_REVEAL_SAFE,
-                                        state.cell_table[indices[-1]], 0.0,
-                                        "logic")
+                    return decisions[-1]
                 indices.pop()
+                decisions.pop()
         state.solver_memo = None
 
     t0 = monotonic()
@@ -218,8 +223,7 @@ def next_move(state: GameState, budget_ms: Optional[float] = None,
     reduced = reduce_system(extract_constraints(state))
     safe, found_mines = deductions(reduced)
     if safe:
-        return MoveDecision(MoveKind.REVEAL_SAFE, _queue_safe(state, safe), 0.0,
-                            "logic")
+        return _queue_safe(state, safe)
 
     remaining = spec.mine_count - len(found_mines)
     # the sea: covered cells that are neither assigned nor in any group

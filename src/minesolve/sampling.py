@@ -4,10 +4,10 @@ Each draw walks the group's `BoxPlan` from `partition`, the plan the
 exact search walks, down one random path, as in Knuth's estimator of a
 backtrack tree (Math. Comp. 29, 1975): at each box it draws j mines
 uniformly from the range [lo, hi] the checks allow and multiplies the
-path's weight by C(size, j) * (hi - lo + 1). A dead end (an empty range) adds nothing. Each weight's
-expectation is the exact count, and the weights are integers, so the
-tallies are integer tables like the exact ones, scaled by the number of
-draws - which is all the combiner needs.
+path's weight by C(size, j) * (hi - lo + 1). A dead end (an empty range)
+adds nothing. Each weight's expectation is the exact count, and the
+weights are integers, so the tallies are integer tables like the exact
+ones, scaled by the number of draws - which is all the combiner needs.
 """
 
 from __future__ import annotations

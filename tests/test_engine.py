@@ -97,6 +97,12 @@ def test_reveal_opens_exactly_the_cells_it_flips(data):
             assert outcome.value == state.values[i]
         assert state.moves[-1] == (cell, "boom" if outcome.mine else outcome.value)
         assert state.revealed_count() == sum(state.revealed)
+        if outcome.mine:
+            assert state.status is GameStatus.LOST
+        elif state.revealed_count() == spec.cells - spec.mine_count:
+            assert state.status is GameStatus.WON
+        else:
+            assert state.status is GameStatus.IN_PROGRESS
 
 
 def test_reveal_cascades_through_zero_cells():

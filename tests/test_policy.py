@@ -24,6 +24,7 @@ from minesolve.engine import (
 from minesolve.exact import enumerate_group, partition
 from minesolve.oracle import exact_board_probabilities
 from minesolve.policy import (
+    MoveDecision,
     MoveKind,
     SolverConfig,
     argmin_cell,
@@ -405,9 +406,8 @@ def test_queue_serves_safe_cells_without_solving(monkeypatch):
             break
         decision = next_move(state)
         assert counter.calls == 0
-        assert decision.kind is MoveKind.REVEAL_SAFE
-        assert decision.cell == covered[0]
-        assert next_move(state).cell == decision.cell  # no reveal, same answer
+        assert decision == MoveDecision(MoveKind.REVEAL_SAFE, covered[0], 0.0, "logic")
+        assert next_move(state) is decision  # no reveal: the same ready object
         reveal(state, decision.cell)
 
 

@@ -1,6 +1,6 @@
 """Project rules checked on the sources: the test configuration reports
-every test, even after a failing property test, and every root export
-and every public definition has a user."""
+every test, even after a failing property test, every root export and
+every public definition has a user, and no source line is too long."""
 
 import ast
 import re
@@ -127,3 +127,16 @@ def test_every_public_function_has_a_caller():
         uncalled += [f"{path.stem}.{name}" for name in public_definitions(tree)
                      if name.rsplit(".", 1)[-1] not in names]
     assert uncalled == []
+
+
+MAX_LINE = 99
+
+
+def test_no_source_line_is_too_long():
+    long_lines = [
+        f"{path.relative_to(ROOT)}:{n}: {len(line)}"
+        for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert long_lines == []
