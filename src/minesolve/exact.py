@@ -16,7 +16,9 @@ Most groups met in play repeat a box structure counted earlier in the
 process (the same boxes, sizes and right-hand sides on other cells), so
 the counts of the MEMO_LIMIT most recently used structures are kept and
 reused. A structure fixes every count, so a reused tally is the one a
-fresh search would give.
+fresh search would give. `partition` computes each plan's structure key
+once, as `BoxPlan.structure`; this memo and the policy's memo of fused
+maps both key on it.
 """
 
 from __future__ import annotations
@@ -87,12 +89,18 @@ class BoxPlan(NamedTuple):
     key, the ascending indices into `constraints` of the constraints its
     cells are in. Boxes go most-constrained first, ties in cell order.
     `constraints` are in `Constraint.sort_key` order and `vars` holds the
-    group's cells in row-major order."""
+    group's cells in row-major order.
+
+    `structure` is what the group's counts depend on and nothing more:
+    each box's (key, size) in plan order, then every constraint's rhs in
+    order. Plans with equal structures have equal counts and box rows, so
+    it keys the count memo here and the policy's memo of fused maps."""
 
     boxes: tuple[tuple[Cell, ...], ...]
     keys: list[tuple[int, ...]]
     constraints: tuple[Constraint, ...]
     vars: tuple[Cell, ...]
+    structure: tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]
 
     def steps(self) -> list[tuple[list[tuple[int, int, int]], tuple[int, ...],
                                   tuple[int, ...], int]]:
@@ -163,11 +171,13 @@ def partition(system: ConstraintSystem) -> list[BoxPlan]:
         local = {ci: i for i, ci in enumerate(taking)}
         # most-constrained first; the sort is stable, so ties keep cell order
         order = sorted(boxes, key=len, reverse=True)
+        plan_boxes = tuple(tuple(boxes[key]) for key in order)
+        keys = [tuple(local[ci] for ci in key) for key in order]
+        plan_constraints = tuple(constraints[ci] for ci in taking)
         plans.append(BoxPlan(
-            tuple(tuple(boxes[key]) for key in order),
-            [tuple(local[ci] for ci in key) for key in order],
-            tuple(constraints[ci] for ci in taking),
-            tuple(cells),
+            plan_boxes, keys, plan_constraints, tuple(cells),
+            (tuple(zip(keys, map(len, plan_boxes))),
+             tuple(constraint.rhs for constraint in plan_constraints)),
         ))
     return plans
 
@@ -185,10 +195,9 @@ def enumerate_group(plan: BoxPlan, deadline: float | None = None) -> GroupTally:
     points, raises GroupTooLargeError so the caller can fall back. A group
     with no satisfying assignment raises ContradictionError.
 
-    The structure key is each box's constraint indices and size, in
-    search order, plus every constraint's rhs. A structure found among
-    the MEMO_LIMIT most recently counted ones is not searched again: its
-    tally is built from the kept counts and reports nodes_visited 0.
+    A plan whose `structure` is among the MEMO_LIMIT most recently
+    counted ones is not searched again: its tally is built from the kept
+    counts and reports nodes_visited 0.
     """
     n = len(plan.vars)
     if n == 0:
@@ -198,8 +207,7 @@ def enumerate_group(plan: BoxPlan, deadline: float | None = None) -> GroupTally:
     if deadline is not None and monotonic() > deadline:
         raise GroupTooLargeError("exact enumeration ran past its deadline")
 
-    structure = (tuple(zip(plan.keys, map(len, plan.boxes))),
-                 tuple(constraint.rhs for constraint in plan.constraints))
+    structure = plan.structure
     kept = _memo.get(structure)
     if kept is None:
         counts, box_totals, nodes = _search(plan, n, deadline)
@@ -210,6 +218,18 @@ def enumerate_group(plan: BoxPlan, deadline: float | None = None) -> GroupTally:
         nodes = 0
         _memo.move_to_end(structure)
     return plan.tally(*kept, nodes_visited=nodes)
+
+
+def counts_kept(structures: tuple[tuple, ...]) -> bool:
+    """Whether the counts of every one of `structures` are kept. If they
+    are, each is marked as just used, in order, as `enumerate_group`
+    marks one it reuses, so the kept counts age alike whether or not the
+    caller goes on to ask for the tallies."""
+    if not all(structure in _memo for structure in structures):
+        return False
+    for structure in structures:
+        _memo.move_to_end(structure)
+    return True
 
 
 def _search(plan: BoxPlan, n: int,

@@ -148,14 +148,17 @@ def wilson_interval(wins: int, games: int, z: float = 1.959963984540054,
 
 def worker_count() -> int:
     """MINESOLVE_THREADS, else the CPU count; ValueError when the variable
-    is set to something other than an integer."""
+    is set to something other than a positive integer."""
     env = os.environ.get("MINESOLVE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
+            workers = 0
+        if workers < 1:
             raise ValueError(
-                f"MINESOLVE_THREADS must be an integer, got {env!r}") from None
+                f"MINESOLVE_THREADS must be a positive integer, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 

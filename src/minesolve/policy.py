@@ -12,10 +12,22 @@ covered cell. If no probability map can be built in time, a cheap
 per-constraint estimate picks the guess instead. The modes truncate this
 pipeline: `exact` is `full` without the sampler, so a guess with an
 oversized group takes the estimate, and `logic` always takes it.
+
+Guess positions repeat in structure, so the fused maps of the
+`exact.MEMO_LIMIT` most recently used ones are kept process-wide, keyed
+by every group's `BoxPlan.structure`, the remaining mines and the sea
+size, which fix every count and so every fused float. A kept position
+is answered without counting or combining, while the count memo still
+holds each of its groups' structures; those are marked as used, so the
+count memo ages as if they had been counted. The memo is read only
+before the deadline and only when every group is small enough to count,
+and written only from a map fused from counted groups alone: a sampled
+group, an infeasible fusion or a deadline refusal keeps nothing.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from hashlib import blake2b
@@ -39,6 +51,7 @@ from .engine import (
     new_board,
     reveal,
 )
+from . import exact
 from .exact import BoxPlan, GroupTooLargeError, enumerate_group, partition
 from .sampling import SamplingStarvedError, sample_group
 
@@ -47,6 +60,11 @@ MODES = ("full", "exact", "logic")
 # reserved for assembling the move out of tallies and the final argmin; at
 # most a quarter of the budget, so counting still gets time at small budgets
 _BUDGET_RESERVE_S = 0.15
+
+# fused maps of recently guessed positions, least recently used first:
+# (each group's box posteriors in plan order, sea_prob) by (the groups'
+# structures, remaining mines, sea size)
+_fused: OrderedDict[tuple, tuple[list[tuple[float, ...]], float]] = OrderedDict()
 
 
 @dataclass
@@ -262,10 +280,33 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
 
     `full` mode samples the groups too large to count with whatever time
     is left, seeded from the `revealed` mask. `exact` mode is `full`
-    without the sampler: an oversized group leaves it without a map."""
+    without the sampler: an oversized group leaves it without a map. A
+    position the fused-map memo holds (see the module docstring) is
+    answered from it, at depth "exact"."""
+    plans = partition(reduced)
+    key = None
+    if monotonic() <= deadline and all(
+            len(plan.vars) <= exact.EXACT_VAR_LIMIT for plan in plans):
+        structures = tuple(plan.structure for plan in plans)
+        key = (structures, remaining_mines, sea_size)
+        kept = _fused.get(key)
+        if kept is not None:
+            _fused.move_to_end(key)
+            # served only while every group's counts are kept too, which
+            # it marks as used: the count memo then keeps and drops the
+            # structures it would if they were counted
+            if exact.counts_kept(structures):
+                box_probs, sea_prob = kept
+                probs: dict[Cell, float] = {}
+                for plan, plan_probs in zip(plans, box_probs):
+                    for box, p in zip(plan.boxes, plan_probs):
+                        for cell in box:
+                            probs[cell] = p
+                return (probs, sea_prob), "exact"
+
     tallies = []
     oversized: list[tuple[int, BoxPlan]] = []
-    for idx, group in enumerate(partition(reduced)):
+    for idx, group in enumerate(plans):
         try:
             tallies.append(enumerate_group(group, deadline=deadline))
         except GroupTooLargeError:
@@ -288,7 +329,15 @@ def _probability_map(reduced: ConstraintSystem, sea_size: int,
         fused = combine(tallies, remaining_mines, sea_size)
     except CombineInfeasibleError:
         return None, "fallback"
-    return fused, "sampled" if oversized else "exact"
+    if oversized:
+        return fused, "sampled"
+    if key is not None:
+        probs = fused[0]
+        _fused[key] = ([tuple(probs[box[0]] for box in plan.boxes) for plan in plans],
+                       fused[1])
+        if len(_fused) > exact.MEMO_LIMIT:
+            _fused.popitem(last=False)
+    return fused, "exact"
 
 
 def seeded_board(spec: BoardSpec, seed: Optional[int] = None) -> GameState:

@@ -1,5 +1,5 @@
-"""Session-wide fixtures for the expensive game batches, and a fresh
-count memo for every test.
+"""Session-wide fixtures for the expensive game batches, and fresh
+count and fused-map memos for every test.
 
 The acceptance criteria and the slow policy invariants share the batches
 so the games are played once per session. A game that raises fails every
@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import pytest
 
-from minesolve import exact
+from minesolve import exact, policy
 from minesolve.harness import run_batch
 from minesolve.oracle import exact_board_probabilities
 from minesolve.policy import SolverConfig
@@ -23,9 +23,12 @@ from helpers import all_played, pipeline_probability_map, random_position
 
 @pytest.fixture(autouse=True)
 def empty_count_memo(monkeypatch):
-    """Each test starts with no kept box structures, so a test of the
-    search itself never reuses a count an earlier test made."""
+    """Each test starts with no kept box structures and no kept fused
+    maps, so a test of the search itself never reuses a count an earlier
+    test made, and a test that lowers EXACT_VAR_LIMIT never meets a map
+    fused under the usual limit."""
     monkeypatch.setattr(exact, "_memo", OrderedDict())
+    monkeypatch.setattr(policy, "_fused", OrderedDict())
 
 
 @pytest.fixture(scope="session")

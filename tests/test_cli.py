@@ -126,7 +126,17 @@ def test_non_integer_thread_count_fails(monkeypatch, capsys):
     assert main(["play", "--width", "3", "--height", "3", "--mines", "1",
                  "--games", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error: MINESOLVE_THREADS must be an integer, got 'x'\n")
+        "error: MINESOLVE_THREADS must be a positive integer, got 'x'\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_non_positive_thread_count_fails(monkeypatch, capsys, threads):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", None)  # never started
+    monkeypatch.setenv("MINESOLVE_THREADS", threads)
+    assert main(["play", "--width", "3", "--height", "3", "--mines", "1",
+                 "--games", "100"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: MINESOLVE_THREADS must be a positive integer, got '{threads}'\n")
 
 
 def test_missing_board_arguments_fail():

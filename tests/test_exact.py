@@ -124,7 +124,7 @@ def test_inconsistent_group_rejected():
 
 def test_empty_group_rejected():
     with pytest.raises(ValueError, match="empty group"):
-        enumerate_group(BoxPlan((), [], (), ()))
+        enumerate_group(BoxPlan((), [], (), (), ((), ())))
 
 
 @st.composite

@@ -230,8 +230,20 @@ def test_worker_count_env_override(monkeypatch):
 
 def test_non_integer_thread_count_is_named(monkeypatch):
     monkeypatch.setenv("MINESOLVE_THREADS", "x")
-    with pytest.raises(ValueError, match="MINESOLVE_THREADS must be an integer, got 'x'"):
+    with pytest.raises(ValueError,
+                       match="MINESOLVE_THREADS must be a positive integer, got 'x'"):
         run_batch(TINY, games=1)
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_non_positive_thread_count_is_rejected(monkeypatch, threads):
+    # refused before any game is played or any pool is started
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(harness, "play_game", None)
+    monkeypatch.setenv("MINESOLVE_THREADS", threads)
+    with pytest.raises(ValueError, match=(
+            f"MINESOLVE_THREADS must be a positive integer, got '{threads}'")):
+        run_batch(TINY, games=100)
 
 
 class _InProcessPool:

@@ -1,4 +1,6 @@
 import random
+from collections import OrderedDict
+from time import monotonic
 
 import pytest
 
@@ -347,6 +349,105 @@ def test_exact_mode_oversized_group_is_labelled_fallback(monkeypatch):
                 labels.add(decision.pipeline_depth)
             reveal(state, decision.cell)
     assert labels == {"exact", "fallback"}
+
+
+def guess_positions(rng, count):
+    """`count` 5x5 positions where logic is stuck, each as the arguments
+    next_move hands `_probability_map`: (reduced system, sea size,
+    remaining mines, revealed mask)."""
+    while count:
+        state = random_position(rng)
+        if state is None:
+            continue
+        reduced = reduce_system(extract_constraints(state))
+        safe, found_mines = deductions(reduced)
+        if safe:
+            continue
+        placed = reduced.variables()
+        placed.update(reduced.derived)
+        count -= 1
+        yield (reduced, state.spec.cells - state.revealed_count() - len(placed),
+               state.spec.mine_count - len(found_mines), state.revealed)
+
+
+def fused_map(position, mode="exact", deadline=None):
+    reduced, sea_size, remaining, revealed = position
+    return policy._probability_map(
+        reduced, sea_size, remaining, mode,
+        deadline=monotonic() + 5.0 if deadline is None else deadline,
+        revealed=revealed)
+
+
+def combine_calls(monkeypatch) -> list:
+    """The arguments of every later `combine` call that policy makes."""
+    calls = []
+    real = policy.combine
+    monkeypatch.setattr(policy, "combine",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_kept_maps_equal_the_fresh_fusion(monkeypatch):
+    combined = combine_calls(monkeypatch)
+    asked = 0
+    for reduced, sea_size, remaining, revealed in guess_positions(random.Random(71), 300):
+        # the same groups under other sea sizes and budgets are other keys
+        for sea_more, mines_more in ((0, 0), (1, 0), (1, 1)):
+            u, m = sea_size + sea_more, remaining + mines_more
+            fresh = combine([enumerate_group(plan) for plan in partition(reduced)], m, u)
+            # dict equality compares every group cell's float exactly
+            assert fused_map((reduced, u, m, revealed)) == (fresh, "exact")
+            asked += 1
+    assert 0 < len(combined) < asked
+
+
+def test_kept_maps_age_the_count_memo_as_counting_would(monkeypatch):
+    # a small limit makes the count memo drop structures that kept maps
+    # still use
+    monkeypatch.setattr(exact, "MEMO_LIMIT", 8)
+    combined = combine_calls(monkeypatch)
+    positions = list(guess_positions(random.Random(73), 300))
+    for position in positions:
+        fused_map(position)
+    assert len(combined) < len(positions)
+    served = list(exact._memo)
+    monkeypatch.setattr(exact, "_memo", OrderedDict())
+    for reduced, *_ in positions:
+        for plan in partition(reduced):
+            enumerate_group(plan)
+    assert list(exact._memo) == served
+
+
+def kept_position():
+    """A position with a group of more than 3 cells whose exact-mode map
+    is kept."""
+    for position in guess_positions(random.Random(72), 1000):
+        if any(len(plan.vars) > 3 for plan in partition(position[0])):
+            assert fused_map(position)[1] == "exact"
+            assert len(policy._fused) == 1
+            return position
+    raise AssertionError("no position with a group of more than 3 cells")
+
+
+def test_kept_map_is_not_read_past_the_var_limit(monkeypatch):
+    position = kept_position()
+    monkeypatch.setattr(exact, "EXACT_VAR_LIMIT", 3)
+    assert fused_map(position, "exact") == (None, "fallback")
+    assert fused_map(position, "full")[1] == "sampled"
+
+
+@pytest.mark.parametrize("mode", ["full", "exact"])
+def test_kept_map_is_not_read_past_the_deadline(mode):
+    position = kept_position()
+    assert fused_map(position, mode, deadline=monotonic() - 1.0) == (None, "fallback")
+
+
+def test_fused_memo_holds_at_most_its_limit(monkeypatch):
+    monkeypatch.setattr(exact, "MEMO_LIMIT", 3)
+    for position in guess_positions(random.Random(59), 40):
+        fused_map(position)
+        assert len(policy._fused) <= 3
+    assert len(policy._fused) == 3
 
 
 class ExtractCounter:

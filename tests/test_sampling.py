@@ -199,7 +199,7 @@ def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         sample_group(group, max_samples=0)
     with pytest.raises(ValueError):
-        sample_group(BoxPlan((), [], (), ()))
+        sample_group(BoxPlan((), [], (), (), ((), ())))
 
 
 def test_sampled_tally_is_pinned():
